@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <thread>
 
 using namespace unit;
 using namespace unit::obs;
@@ -25,6 +26,10 @@ uint64_t steadyMicros() {
 
 std::atomic<TraceRecorder *> ActiveRecorder{nullptr};
 std::atomic<uint64_t> NextEpoch{1};
+/// Threads between reading a non-null active recorder and pinning it.
+/// A recorder being destroyed waits for this to drain after it is
+/// uninstalled: any thread that could still pin it has done so by then.
+std::atomic<uint64_t> SpansPinning{0};
 
 thread_local SpanContext CurrentSpanTls;
 
@@ -72,7 +77,11 @@ TraceRecorder::TraceRecorder(size_t BytesPerThread, ClockFn Clock)
       Clock(std::move(Clock)),
       Epoch(NextEpoch.fetch_add(1, std::memory_order_relaxed)) {}
 
-TraceRecorder::~TraceRecorder() = default;
+TraceRecorder::~TraceRecorder() {
+  clearActiveRecorder(this);
+  while (SpansPinning.load() != 0 || OpenSpans.load() != 0)
+    std::this_thread::yield();
+}
 
 uint64_t TraceRecorder::nowMicros() const {
   return Clock ? Clock() : steadyMicros();
@@ -148,7 +157,10 @@ std::vector<TraceEvent> TraceRecorder::snapshot() const {
 }
 
 void obs::setActiveRecorder(TraceRecorder *Rec) {
-  ActiveRecorder.store(Rec, std::memory_order_release);
+  // Sequentially consistent, like the CAS in clearActiveRecorder: either
+  // one may be the uninstall a replaced recorder's destructor relies on
+  // (see Span::pinActive).
+  ActiveRecorder.store(Rec);
 }
 
 TraceRecorder *obs::activeRecorder() {
@@ -157,21 +169,35 @@ TraceRecorder *obs::activeRecorder() {
 
 void obs::clearActiveRecorder(TraceRecorder *Rec) {
   TraceRecorder *Expected = Rec;
-  ActiveRecorder.compare_exchange_strong(Expected, nullptr,
-                                         std::memory_order_acq_rel);
+  ActiveRecorder.compare_exchange_strong(Expected, nullptr);
 }
 
 SpanContext obs::currentSpan() { return CurrentSpanTls; }
 
+TraceRecorder *Span::pinActive() {
+  if (!ActiveRecorder.load(std::memory_order_acquire))
+    return nullptr; // Idle: one load, no shared writes.
+  // Sequentially consistent pair: count this thread as pinning, then
+  // re-read the pointer. A recorder uninstalled before the re-read is
+  // never touched; one uninstalled after it sees this thread in
+  // SpansPinning and waits for the pin below before it can be freed.
+  SpansPinning.fetch_add(1);
+  TraceRecorder *R = ActiveRecorder.load();
+  if (R)
+    R->OpenSpans.fetch_add(1);
+  SpansPinning.fetch_sub(1);
+  return R;
+}
+
 Span::Span(const char *Name) {
-  TraceRecorder *R = activeRecorder();
+  TraceRecorder *R = pinActive();
   if (!R)
     return;
   open(R, Name, CurrentSpanTls.Rec == R ? CurrentSpanTls.Id : 0);
 }
 
 Span::Span(const char *Name, const SpanContext &Parent) {
-  TraceRecorder *R = Parent.Rec ? Parent.Rec : activeRecorder();
+  TraceRecorder *R = pinActive();
   if (!R)
     return;
   open(R, Name, Parent.Rec == R ? Parent.Id : 0);
@@ -194,6 +220,7 @@ Span::~Span() {
   uint64_t End = Rec->nowMicros();
   Ev.DurationMicros = End > Ev.StartMicros ? End - Ev.StartMicros : 0;
   Rec->record(Ev);
+  Rec->OpenSpans.fetch_sub(1, std::memory_order_release);
 }
 
 void Span::annotate(const char *Key, uint64_t Value) {

@@ -22,6 +22,13 @@
 /// writer is overwriting is skipped rather than returned torn. No
 /// locks on the hot path, clean under ThreadSanitizer.
 ///
+/// Lifetime contract: a span only ever opens on the active recorder and
+/// pins it until it closes, and a recorder's destructor waits until no
+/// span is open on it. Several recorders may come and go in one process
+/// (one per compile server), and a thread of one server can be mid-span
+/// on another server's recorder when that server stops; the pin is what
+/// keeps such a span from recording into freed memory.
+///
 /// Cost when idle: instrumentation sites construct a Span, whose
 /// constructor is a single load of the process-wide active-recorder
 /// pointer and an early-out when it is null.
@@ -75,6 +82,8 @@ public:
 
   explicit TraceRecorder(size_t BytesPerThread = 256 * 1024,
                          ClockFn Clock = nullptr);
+  /// Uninstalls this recorder if it is still active, then waits until
+  /// every span open on it has closed.
   ~TraceRecorder();
 
   TraceRecorder(const TraceRecorder &) = delete;
@@ -100,6 +109,7 @@ public:
   size_t slotsPerThread() const { return Slots; }
 
 private:
+  friend class Span;
   struct Ring;
   Ring &myRing();
 
@@ -107,6 +117,7 @@ private:
   const ClockFn Clock;
   const uint64_t Epoch; ///< Distinguishes recorders across address reuse.
   std::atomic<uint64_t> NextId{1};
+  std::atomic<uint64_t> OpenSpans{0}; ///< Spans pinning this recorder.
   mutable std::mutex RegMu; ///< Guards Rings (registration + snapshot).
   std::vector<std::unique_ptr<Ring>> Rings;
 };
@@ -138,10 +149,10 @@ public:
   /// thread's current span. No-op when no recorder is active.
   explicit Span(const char *Name);
 
-  /// Opens a span parented to \p Parent — the cross-thread form. Uses
-  /// Parent's recorder so a tree stays on one recorder even if the
-  /// active pointer changes mid-request; falls back to the active
-  /// recorder (as a root) when Parent is inert.
+  /// Opens a span parented to \p Parent — the cross-thread form. The
+  /// span opens on the active recorder like any other; it becomes a root
+  /// when \p Parent is inert or was taken on a different recorder (one
+  /// since replaced, or torn down — a context is never dereferenced).
   Span(const char *Name, const SpanContext &Parent);
 
   ~Span();
@@ -160,6 +171,9 @@ public:
   bool active() const { return Rec != nullptr; }
 
 private:
+  /// The active recorder, pinned for this span (its destructor waits for
+  /// the pin to drop), or null when tracing is off.
+  static TraceRecorder *pinActive();
   void open(TraceRecorder *R, const char *Name, uint64_t ParentId);
 
   TraceRecorder *Rec = nullptr;

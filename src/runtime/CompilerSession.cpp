@@ -143,98 +143,28 @@ CompileOptions CompilerSession::optionsWithSeed(const CompileOptions &Base,
 }
 
 //===----------------------------------------------------------------------===//
-// The unified surface
+// The unified surface: one resolve, one miss body
 //===----------------------------------------------------------------------===//
-
-KernelReport CompilerSession::compileKeyed(const CompileRequest &Request,
-                                           const std::string &Key,
-                                           bool *ComputedHere) {
-  double T0 = steadyNowSeconds();
-  switch (Request.Options.Policy) {
-  case CachePolicy::Bypass: {
-    if (ComputedHere)
-      *ComputedHere = true;
-    obs::Span Codegen("codegen");
-    KernelReport Report = Request.Work.compileWith(
-        *Request.Backend, tuningPool(), optionsWithSeed(Request.Options, Key));
-    ColdLatencyHist.record(steadyNowSeconds() - T0);
-    return Report;
-  }
-  case CachePolicy::Refresh:
-    // Ready entries are dropped and recompiled; an in-flight compile is
-    // left alone (it is fresh enough, and erasing it would break the
-    // single-flight invariant its winner relies on).
-    Cache.eraseReady(Key);
-    break;
-  case CachePolicy::Default:
-    break;
-  }
-  bool Fetched = false;
-  bool RanCompute = false;
-  KernelReport Report = Cache.getOrCompute(
-      Key,
-      [&] {
-        // The single-flight winner probes the fleet before tuning: a
-        // same-fingerprint peer that already tuned this key hands the
-        // report over in milliseconds. Refresh skips the probe — it
-        // asked for a fresh local tune.
-        if (Request.Options.Policy == CachePolicy::Default)
-          if (ColdMissFetcher Fetch = missFetcher()) {
-            std::optional<KernelReport> Remote;
-            {
-              obs::Span PeerFetch("peer_fetch");
-              Remote = Fetch(Key);
-              PeerFetch.annotate("hit", Remote ? 1 : 0);
-            }
-            if (Remote) {
-              Fetched = true;
-              recordTransferWinner(Key, *Remote);
-              return *Remote;
-            }
-          }
-        KernelReport Fresh;
-        {
-          obs::Span Codegen("codegen");
-          Fresh = Request.Work.compileWith(*Request.Backend, tuningPool(),
-                                           optionsWithSeed(Request.Options,
-                                                           Key));
-        }
-        recordTransferWinner(Key, Fresh);
-        if (CompileObserver Notify = compileObserver())
-          Notify(Key, Fresh);
-        return Fresh;
-      },
-      &RanCompute);
-  // A peer-served entry is a cache hit from the caller's point of view —
-  // no tuner ran here — even though the compute lambda executed.
-  if (ComputedHere)
-    *ComputedHere = RanCompute && !Fetched;
-  // Latency accounting: any run of the compute lambda is the cold path
-  // (a peer-served miss is still a miss); ready hits and single-flight
-  // joins of another caller's compile are warm.
-  (RanCompute ? ColdLatencyHist : WarmLatencyHist)
-      .record(steadyNowSeconds() - T0);
-  return Report;
-}
 
 KernelReport CompilerSession::compile(const CompileRequest &Request,
                                       bool *ComputedHere) {
-  return compileKeyed(Request, Request.cacheKey(), ComputedHere);
+  std::atomic<size_t> Fresh{0};
+  CompileJob Job = dispatch(Request, Request.cacheKey(), nullptr, &Fresh,
+                            /*Inline=*/true);
+  if (ComputedHere)
+    *ComputedHere = Fresh.load() != 0;
+  return Job.get();
 }
 
 CompileJob CompilerSession::compileAsync(CompileRequest Request) {
-  return compileAsyncCounted(std::move(Request), nullptr);
-}
-
-CompileJob
-CompilerSession::compileAsyncCounted(CompileRequest Request,
-                                     std::atomic<size_t> *FreshCounter) {
-  return dispatchAsync(std::move(Request), nullptr, FreshCounter);
+  return dispatch(Request, Request.cacheKey(), nullptr, nullptr,
+                  /*Inline=*/false);
 }
 
 CompileJob CompilerSession::compileAsyncThen(CompileRequest Request,
                                              JobCallback OnDone) {
-  return dispatchAsync(std::move(Request), std::move(OnDone), nullptr);
+  return dispatch(Request, Request.cacheKey(), std::move(OnDone), nullptr,
+                  /*Inline=*/false);
 }
 
 void CompilerSession::jobFinished() {
@@ -248,45 +178,50 @@ void CompilerSession::jobFinished() {
   }
 }
 
-CompileJob CompilerSession::dispatchAsync(
-    CompileRequest Request,
-    std::function<void(const KernelReport *, std::exception_ptr, bool)>
-        Finish,
-    std::atomic<size_t> *FreshCounter) {
-  std::string Key = Request.cacheKey();
-
-  if (Request.Options.Policy != CachePolicy::Bypass) {
-    double T0 = steadyNowSeconds();
-    // One span covers the resolve decision; the submitter's context
-    // (this span when tracing is on) is what pool tasks and continuation
-    // callbacks parent to — the cross-thread links of the request tree.
-    obs::Span Resolve("cache_resolve");
-    obs::SpanContext SubmitCtx = obs::currentSpan();
-
-    if (Request.Options.Policy == CachePolicy::Refresh)
-      // Ready entries are dropped and recompiled; an in-flight compile is
-      // left alone (it is fresh enough, and erasing it would break the
-      // single-flight invariant its winner relies on).
-      Cache.eraseReady(Key);
-
-    // Count the job before resolving: a registered continuation may fire
-    // (and decrement) the instant the cache lock is released.
+CompileJob CompilerSession::dispatch(const CompileRequest &Request,
+                                     std::string Key, JobCallback Finish,
+                                     std::atomic<size_t> *FreshCounter,
+                                     bool Inline) {
+  double T0 = steadyNowSeconds();
+  // Count an async job before resolving: a registered continuation may
+  // fire (and decrement) the instant the cache lock is released.
+  if (!Inline)
     InFlight.fetch_add(1);
-    std::shared_future<KernelReport> Fut;
-    KernelCache::ComputeTicket Ticket;
-    // Registered only when the resolve joins an in-flight compile; fires
-    // on the winner's thread, parented to the submitter's span. The
-    // jobFinished guard mirrors the Joined case below: future-only joins
-    // already balanced InFlight inline.
-    KernelCache::Waiter Continuation =
-        [this, Finish, SubmitCtx, T0](const KernelReport *Report,
-                                      std::exception_ptr Error) {
-          // The span must close before jobFinished(): the decrement to
-          // zero releases stop()'s quiesce() wait, after which the trace
-          // recorder is torn down — a span still open here would record
-          // into freed memory.
+  KernelCache::ResolveKind Kind;
+  std::shared_future<KernelReport> Fut;
+  MissSink Sink;
+  obs::SpanContext ResolveCtx;
+  {
+    // One span covers the resolve decision and closes before any miss
+    // body opens; its context is what the compile span and join
+    // continuations parent to — the cross-thread links of the request
+    // tree.
+    obs::Span Resolve("cache_resolve");
+    ResolveCtx = Resolve.context();
+    if (Request.Options.Policy == CachePolicy::Bypass) {
+      // Never touches the cache: a private promise backs the job.
+      Sink.Private = std::make_shared<std::promise<KernelReport>>();
+      Fut = Sink.Private->get_future().share();
+      Kind = KernelCache::ResolveKind::MustCompute;
+    } else {
+      if (Request.Options.Policy == CachePolicy::Refresh)
+        // Ready entries are dropped and recompiled; an in-flight compile
+        // is left alone (it is fresh enough, and erasing it would break
+        // the single-flight invariant its winner relies on).
+        Cache.eraseReady(Key);
+      // An async join registers a continuation the winner's drain fires,
+      // parented to this span; no thread blocks waiting for it. A
+      // blocking join registers nothing and waits on the future below.
+      KernelCache::Waiter Continuation;
+      if (!Inline)
+        Continuation = [this, Finish, ResolveCtx,
+                        T0](const KernelReport *Report,
+                            std::exception_ptr Error) {
+          // The span closes before jobFinished(): the decrement to zero
+          // releases stop()'s quiesce() wait, after which the trace
+          // recorder is torn down (its destructor waits out open spans).
           {
-            obs::Span Resume("join_resume", SubmitCtx);
+            obs::Span Resume("join_resume", ResolveCtx);
             if (Finish)
               Finish(Report, Error, /*Computed=*/false);
             JoinLatencyHist.record(steadyNowSeconds() - T0);
@@ -294,130 +229,122 @@ CompileJob CompilerSession::dispatchAsync(
           if (Finish)
             jobFinished();
         };
-    switch (Cache.resolveThen(Key, std::move(Continuation), &Fut, &Ticket)) {
-    case KernelCache::ResolveKind::Ready: {
-      // Warm hit: resolve inline on the submitting thread. A whole warm
-      // model's worth of joins costs zero pool tasks.
+      Kind = Cache.resolveThen(Key, std::move(Continuation), &Fut,
+                               &Sink.Ticket);
+    }
+    switch (Kind) {
+    case KernelCache::ResolveKind::Ready:
       InlineReadyHitsCount.fetch_add(1);
       Resolve.annotate("outcome", "hit");
-      if (Finish)
-        Finish(&Fut.get(), nullptr, /*Computed=*/false);
-      WarmLatencyHist.record(steadyNowSeconds() - T0);
-      jobFinished();
-      return CompileJob(std::move(Key), std::move(Fut));
-    }
+      break;
     case KernelCache::ResolveKind::Joined:
-      // In-flight join: the winner's drain fires the continuation; no
-      // thread — pool or otherwise — blocks waiting for it.
       ContinuationJoinsCount.fetch_add(1);
       Resolve.annotate("outcome", "join");
-      if (!Finish)
-        jobFinished(); // Future-only join: nothing left pending here.
-      return CompileJob(std::move(Key), std::move(Fut));
+      break;
     case KernelCache::ResolveKind::MustCompute:
+      FreshDispatchesCount.fetch_add(1);
+      Resolve.annotate("outcome", Sink.Private ? "bypass" : "miss");
       break;
     }
-
-    // Winner: run the compile on a pool worker; fulfill()/fail() publish
-    // the result and drain every waiter that joined meanwhile.
-    FreshDispatchesCount.fetch_add(1);
-    Resolve.annotate("outcome", "miss");
-    Pool->submit([this, Request = std::move(Request), Key,
-                  Ticket = std::move(Ticket),
-                  Finish = std::move(Finish), FreshCounter, SubmitCtx,
-                  T0]() mutable {
-      // Every span in this task must close before the jobFinished() at
-      // the bottom: the decrement to zero releases stop()'s quiesce()
-      // wait, after which the trace recorder is torn down — a span still
-      // open past it would record into freed memory.
-      {
-        obs::Span CompileSpan("compile", SubmitCtx);
-        // Fleet probe first (same contract as the blocking path): a report
-        // fetched from a same-fingerprint peer fulfills the entry — every
-        // joined waiter resolves, Computed stays false, FreshCounter is
-        // untouched, and the observer never fires (no echo back to peers).
-        bool ServedByPeer = false;
-        if (Request.Options.Policy == CachePolicy::Default)
-          if (ColdMissFetcher Fetch = missFetcher()) {
-            std::optional<KernelReport> Remote;
-            {
-              obs::Span PeerFetch("peer_fetch");
-              Remote = Fetch(Key);
-              PeerFetch.annotate("hit", Remote ? 1 : 0);
-            }
-            if (Remote) {
-              recordTransferWinner(Key, *Remote);
-              {
-                obs::Span Fulfill("fulfill");
-                Cache.fulfill(Key, Ticket, *Remote);
-              }
-              if (Finish)
-                Finish(&*Remote, nullptr, /*Computed=*/false);
-              ColdLatencyHist.record(steadyNowSeconds() - T0);
-              ServedByPeer = true;
-            }
-          }
-        if (!ServedByPeer) {
-          KernelReport Report;
-          std::exception_ptr Error;
-          try {
-            obs::Span Codegen("codegen");
-            Report = Request.Work.compileWith(*Request.Backend, tuningPool(),
-                                              optionsWithSeed(Request.Options,
-                                                              Key));
-          } catch (...) {
-            Error = std::current_exception();
-          }
-          if (!Error) {
-            if (FreshCounter)
-              FreshCounter->fetch_add(1);
-            recordTransferWinner(Key, Report);
-            {
-              obs::Span Fulfill("fulfill");
-              Cache.fulfill(Key, Ticket, Report);
-            }
-            if (CompileObserver Notify = compileObserver())
-              Notify(Key, Report);
-          } else {
-            Cache.fail(Key, Ticket, Error);
-          }
-          if (Finish)
-            Finish(Error ? nullptr : &Report, Error, /*Computed=*/!Error);
-          ColdLatencyHist.record(steadyNowSeconds() - T0);
-        }
-      }
-      jobFinished();
-    });
-    return CompileJob(std::move(Key), std::move(Fut));
   }
 
-  // Bypass: never touches the cache; a private promise backs the job.
-  FreshDispatchesCount.fetch_add(1);
-  auto Done = std::make_shared<std::promise<KernelReport>>();
-  std::shared_future<KernelReport> Fut = Done->get_future().share();
-  InFlight.fetch_add(1);
-  Pool->submit([this, Request = std::move(Request), Done,
-                Finish = std::move(Finish), FreshCounter]() mutable {
-    KernelReport Report;
-    std::exception_ptr Error;
-    try {
-      Report = Request.Work.compileWith(*Request.Backend, tuningPool(),
-                                        Request.Options);
-    } catch (...) {
-      Error = std::current_exception();
-    }
-    if (!Error) {
-      if (FreshCounter)
-        FreshCounter->fetch_add(1);
-      Done->set_value(Report);
-    } else {
-      Done->set_exception(Error);
-    }
+  switch (Kind) {
+  case KernelCache::ResolveKind::Ready:
+    // Warm hit: resolves on the calling thread — a whole warm model's
+    // worth of requests costs zero pool tasks.
     if (Finish)
-      Finish(Error ? nullptr : &Report, Error, /*Computed=*/!Error);
-    jobFinished();
-  });
+      Finish(&Fut.get(), nullptr, /*Computed=*/false);
+    WarmLatencyHist.record(steadyNowSeconds() - T0);
+    if (!Inline)
+      jobFinished();
+    break;
+  case KernelCache::ResolveKind::Joined:
+    if (Inline) {
+      Fut.wait(); // get() rethrows the winner's failure to the caller.
+      JoinLatencyHist.record(steadyNowSeconds() - T0);
+    } else if (!Finish) {
+      jobFinished(); // Future-only join: nothing left pending here.
+    }
+    break;
+  case KernelCache::ResolveKind::MustCompute:
+    if (Inline) {
+      // The caller's own thread does the work: no pool hop on the path
+      // every blocking miss (and every peer-served fetch) takes.
+      runMiss(Request, Key, Sink, Finish, FreshCounter, ResolveCtx, T0);
+    } else {
+      Pool->submit([this, Request, Key, Sink = std::move(Sink),
+                    Finish = std::move(Finish), FreshCounter, ResolveCtx,
+                    T0]() mutable {
+        // runMiss closes every span it opens before returning, so none
+        // outlives the jobFinished() below (see the continuation above).
+        runMiss(Request, Key, Sink, Finish, FreshCounter, ResolveCtx, T0);
+        jobFinished();
+      });
+    }
+    break;
+  }
   return CompileJob(std::move(Key), std::move(Fut));
+}
+
+void CompilerSession::runMiss(const CompileRequest &Request,
+                              const std::string &Key, MissSink &Sink,
+                              const JobCallback &Finish,
+                              std::atomic<size_t> *FreshCounter,
+                              const obs::SpanContext &Parent, double T0) {
+  obs::Span CompileSpan("compile", Parent);
+  std::optional<KernelReport> Report;
+  std::exception_ptr Error;
+  bool Computed = false;
+  try {
+    // The fleet first: a same-fingerprint peer that already tuned this
+    // key hands the report over in milliseconds. A peer-served report
+    // publishes like a local one — every joined waiter resolves — but
+    // Computed stays false, FreshCounter is untouched, and the observer
+    // never fires (no echo back to peers). Refresh skips the probe (it
+    // asked for a fresh local tune), and Bypass never consults it.
+    if (Request.Options.Policy == CachePolicy::Default)
+      if (ColdMissFetcher Fetch = missFetcher()) {
+        obs::Span PeerFetch("peer_fetch");
+        Report = Fetch(Key);
+        PeerFetch.annotate("hit", Report ? 1 : 0);
+      }
+    if (!Report) {
+      obs::Span Codegen("codegen");
+      Report = Request.Work.compileWith(*Request.Backend, tuningPool(),
+                                        optionsWithSeed(Request.Options, Key));
+      Computed = true;
+    }
+  } catch (...) {
+    Error = std::current_exception();
+  }
+  if (Report) {
+    // Counted before publishing: a caller joining this job reads the
+    // count as soon as the report is visible.
+    if (Computed && FreshCounter)
+      FreshCounter->fetch_add(1);
+    recordTransferWinner(Key, *Report);
+    if (Sink.Private) {
+      Sink.Private->set_value(*Report);
+    } else {
+      {
+        obs::Span Fulfill("fulfill");
+        Cache.fulfill(Key, Sink.Ticket, *Report);
+      }
+      if (Computed)
+        if (CompileObserver Notify = compileObserver())
+          Notify(Key, *Report);
+    }
+  } else if (Sink.Private) {
+    Sink.Private->set_exception(Error);
+  } else {
+    // fail() evicts the entry before publishing, so the key stays
+    // retryable instead of poisoned.
+    Cache.fail(Key, Sink.Ticket, Error);
+  }
+  if (Finish)
+    Finish(Report ? &*Report : nullptr, Error, Computed);
+  // Every miss is the cold path, a peer-served one included.
+  ColdLatencyHist.record(steadyNowSeconds() - T0);
 }
 
 void CompilerSession::quiesce() {
@@ -434,12 +361,6 @@ void CompilerSession::quiesce() {
 
 std::vector<CompileJob>
 CompilerSession::compileAllAsync(std::vector<CompileRequest> Requests) {
-  return compileAllAsyncCounted(std::move(Requests), nullptr);
-}
-
-std::vector<CompileJob>
-CompilerSession::compileAllAsyncCounted(std::vector<CompileRequest> Requests,
-                                        std::atomic<size_t> *FreshCounter) {
   // Submit higher-priority requests first (stable: ties keep caller
   // order), but hand the jobs back in the original order.
   std::vector<size_t> Order(Requests.size());
@@ -449,7 +370,7 @@ CompilerSession::compileAllAsyncCounted(std::vector<CompileRequest> Requests,
   });
   std::vector<CompileJob> Jobs(Requests.size());
   for (size_t Slot : Order)
-    Jobs[Slot] = compileAsyncCounted(std::move(Requests[Slot]), FreshCounter);
+    Jobs[Slot] = compileAsync(std::move(Requests[Slot]));
   return Jobs;
 }
 
@@ -498,45 +419,34 @@ CompilerSession::compileModel(const Model &M, const TargetBackend &Backend,
   std::unordered_map<std::string, KernelReport> Reports;
   Reports.reserve(DistinctLayers.size());
   std::atomic<size_t> FreshCompiles{0};
-  if (Config.ParallelShapes && DistinctLayers.size() > 1) {
-    // Submit all, then join: distinct shapes tune concurrently on the
-    // pool; while joining, this thread helps drain pending tasks so a
-    // small pool still tunes caller+workers wide.
-    std::vector<CompileRequest> Requests;
-    Requests.reserve(DistinctLayers.size());
-    for (size_t LayerIndex : DistinctLayers)
-      Requests.emplace_back(Workload::conv2d(M.Convs[LayerIndex]), Borrowed,
-                            Options);
-    std::vector<CompileJob> Jobs =
-        compileAllAsyncCounted(std::move(Requests), &FreshCompiles);
-    // Join *every* job before any rethrow: in-flight tasks hold a
-    // non-owning reference to the caller's backend, so unwinding while
-    // they still run would dangle it.
-    std::exception_ptr FirstFailure;
-    for (size_t Slot = 0; Slot < Jobs.size(); ++Slot) {
-      while (!Jobs[Slot].ready() && Pool->runOne()) {
-      }
-      try {
-        Reports.emplace(Keys[DistinctLayers[Slot]], Jobs[Slot].get());
-      } catch (...) {
-        if (!FirstFailure)
-          FirstFailure = std::current_exception();
-      }
+  // Submit all, then join: with shape parallelism, distinct shapes tune
+  // concurrently on the pool and this thread helps drain pending tasks
+  // while joining, so a small pool still tunes caller+workers wide.
+  // Without it, each shape compiles inline, in layer order.
+  bool Inline = !Config.ParallelShapes || DistinctLayers.size() <= 1;
+  std::vector<CompileJob> Jobs;
+  Jobs.reserve(DistinctLayers.size());
+  for (size_t LayerIndex : DistinctLayers)
+    Jobs.push_back(
+        dispatch(CompileRequest(Workload::conv2d(M.Convs[LayerIndex]),
+                                Borrowed, Options),
+                 Keys[LayerIndex], nullptr, &FreshCompiles, Inline));
+  // Join *every* job before any rethrow: in-flight tasks hold a
+  // non-owning reference to the caller's backend, so unwinding while
+  // they still run would dangle it.
+  std::exception_ptr FirstFailure;
+  for (size_t Slot = 0; Slot < Jobs.size(); ++Slot) {
+    while (!Jobs[Slot].ready() && Pool->runOne()) {
     }
-    if (FirstFailure)
-      std::rethrow_exception(FirstFailure);
-  } else {
-    for (size_t LayerIndex : DistinctLayers) {
-      bool Computed = false;
-      Reports.emplace(
-          Keys[LayerIndex],
-          compileKeyed(CompileRequest(Workload::conv2d(M.Convs[LayerIndex]),
-                                      Borrowed, Options),
-                       Keys[LayerIndex], &Computed));
-      if (Computed)
-        FreshCompiles.fetch_add(1);
+    try {
+      Reports.emplace(Keys[DistinctLayers[Slot]], Jobs[Slot].get());
+    } catch (...) {
+      if (!FirstFailure)
+        FirstFailure = std::current_exception();
     }
   }
+  if (FirstFailure)
+    std::rethrow_exception(FirstFailure);
   Result.FreshCompiles = FreshCompiles.load();
 
   Result.Layers.reserve(M.Convs.size());

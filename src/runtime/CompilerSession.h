@@ -14,13 +14,18 @@
 ///   compileAllAsync(requests)     priority-ordered batch submission
 ///   compileModel(model, target)   submit every distinct layer, then join
 ///
-/// Every workload kind (conv2d / conv3d / dense-as-1x1 / raw op) flows
-/// through the same path, and targets are string ids resolved through the
-/// TargetRegistry (the legacy per-kind compile* shims were removed once
-/// every caller migrated). Distinct shapes of a model tune concurrently
-/// and tuning candidates are scored in parallel, but every winner is
-/// chosen by an index-stable argmin — parallel and sequential modes
-/// produce byte-identical reports.
+/// Every entry point goes through one resolve (hit, join, or miss, under
+/// one cache_resolve span) and one miss body (peer probe, codegen,
+/// transfer-index update, publish, observer, cold histogram). The blocking
+/// and async forms differ only in where the work runs: a blocking miss
+/// runs the miss body on the calling thread and a blocking join waits on
+/// the entry's future, while an async miss is a pool task and an async
+/// join a continuation the winner fires. Every workload kind (conv2d /
+/// conv3d / dense-as-1x1 / raw op) flows through that path, and targets
+/// are string ids resolved through the TargetRegistry. Distinct shapes of
+/// a model tune concurrently and tuning candidates are scored in
+/// parallel, but every winner is chosen by an index-stable argmin —
+/// parallel and sequential modes produce byte-identical reports.
 ///
 /// The cache persists: saveCache() serializes every surviving entry under
 /// a fingerprint of the registered machines, and loadCache() rejects
@@ -35,6 +40,7 @@
 #define UNIT_RUNTIME_COMPILERSESSION_H
 
 #include "obs/Histogram.h"
+#include "obs/Trace.h"
 #include "runtime/CompileRequest.h"
 #include "runtime/KernelCache.h"
 #include "support/ThreadPool.h"
@@ -74,22 +80,19 @@ struct SessionConfig {
   KernelCache::ClockFn CacheClock;
 };
 
-/// Counters describing how the session's async continuation engine has
-/// been resolving jobs. All monotonic over the session's lifetime.
+/// Counters describing how the session has been resolving requests,
+/// blocking and async alike. All monotonic over the session's lifetime.
 struct SessionStats {
-  /// Async joins that blocked a pool worker on another job's future. The
-  /// continuation engine never does this — the counter exists so tests
-  /// and operators can assert it stays 0; any future code path that
-  /// reintroduces a blocking join must bump it.
-  uint64_t ParkedJoins = 0;
-  /// Async joins resolved by registering a continuation on an in-flight
-  /// cache entry (drained by the winner; zero pool threads consumed).
+  /// Requests that joined an in-flight compile of their key: an async
+  /// join registers a continuation the winner drains (zero pool threads
+  /// consumed); a blocking join waits on the entry's future.
   uint64_t ContinuationJoins = 0;
-  /// Async submissions served by a ready cache entry — the callback fired
-  /// inline on the submitting thread, no pool task spawned.
+  /// Requests served by a ready cache entry, resolved inline on the
+  /// calling thread with no pool task.
   uint64_t InlineReadyHits = 0;
-  /// Async submissions that won their key and dispatched a fresh compile
-  /// to the pool (plus Bypass jobs, which always compile).
+  /// Requests that won their key and ran a fresh compile — a pool task
+  /// when async, the calling thread when blocking (plus Bypass requests,
+  /// which always compile).
   uint64_t FreshDispatches = 0;
   /// Cold compiles whose tuner search was seeded from the cached winner
   /// of a near-isomorphic key (transfer tuning, docs/TUNING.md). Seeding
@@ -125,6 +128,18 @@ public:
   using CompileObserver =
       std::function<void(const std::string &Key, const KernelReport &Report)>;
 
+  /// Completion callback for compileAsyncThen: exactly one of \p Report
+  /// and \p Error is non-null/non-empty; \p Computed mirrors compile()'s
+  /// ComputedHere (true only when the job ran the compile itself).
+  /// Invoked on whichever thread resolves the job: the *submitting*
+  /// thread (ready cache hits fire before compileAsyncThen returns), the
+  /// winner's completing thread (single-flight joins, drained as
+  /// continuations), or a pool worker (fresh compiles). Never invoked
+  /// while the session holds an internal lock. Keep it short and never
+  /// call back into blocking session APIs from inside it.
+  using JobCallback = std::function<void(
+      const KernelReport *Report, std::exception_ptr Error, bool Computed)>;
+
 private:
   SessionConfig Config;
   KernelCache Cache;
@@ -145,7 +160,6 @@ private:
   std::condition_variable QuiesceCv;
   /// SessionStats counters (see sessionStats()); declared before Pool for
   /// the same destruction-order reason as the quiesce state above.
-  std::atomic<uint64_t> ParkedJoinsCount{0};
   std::atomic<uint64_t> ContinuationJoinsCount{0};
   std::atomic<uint64_t> InlineReadyHitsCount{0};
   std::atomic<uint64_t> FreshDispatchesCount{0};
@@ -160,7 +174,8 @@ private:
   std::unordered_map<std::string, std::map<std::string, int>> TransferIndex;
   /// Submit-to-resolve latency histograms (docs/OBSERVABILITY.md), split
   /// by how the request resolved: fresh compile (cold, including
-  /// peer-fetched misses), ready cache hit (warm), continuation join.
+  /// peer-fetched misses and Bypass), ready cache hit (warm), join of an
+  /// in-flight compile.
   /// Wait-free to record; declared before Pool — workers record into
   /// them, so they must outlive the worker join.
   obs::LatencyHistogram ColdLatencyHist;
@@ -170,11 +185,6 @@ private:
 
   /// The pool handed to tuners, or null when candidate-parallelism is off.
   ThreadPool *tuningPool() { return Config.ParallelCandidates ? Pool.get() : nullptr; }
-
-  /// Runs \p Request synchronously under \p Key (already derived).
-  KernelReport compileKeyed(const CompileRequest &Request,
-                            const std::string &Key,
-                            bool *ComputedHere = nullptr);
 
   /// \p Base with SeedCandidate filled from the transfer index when the
   /// caller left it unset: the winning candidate of the structurally
@@ -192,24 +202,40 @@ private:
   void recordTransferWinner(const std::string &Key,
                             const KernelReport &Report);
 
-  /// compileAsync with an optional \p FreshCounter incremented iff the
-  /// submitted job runs the compile itself (not a cache join) — the
-  /// race-free accounting compileModel aggregates into FreshCompiles.
-  CompileJob compileAsyncCounted(CompileRequest Request,
-                                 std::atomic<size_t> *FreshCounter);
+  /// Where a miss publishes its outcome: the single-flight winner's cache
+  /// ticket, or — for Bypass, which never touches the cache — the job's
+  /// private promise (Private is non-null exactly for Bypass).
+  struct MissSink {
+    KernelCache::ComputeTicket Ticket;
+    std::shared_ptr<std::promise<KernelReport>> Private;
+  };
 
-  /// The continuation engine behind every async entry point. Resolves
-  /// \p Request against the cache without ever blocking a pool thread:
-  /// ready hits fire \p Finish inline on the submitting thread, joins of
-  /// an in-flight compile register a continuation the winner drains, and
-  /// only a fresh compile (key winner, or Bypass) submits a pool task.
-  /// \p Finish may be null (future-only callers); \p FreshCounter as in
-  /// compileAsyncCounted.
-  CompileJob dispatchAsync(CompileRequest Request,
-                           std::function<void(const KernelReport *,
-                                              std::exception_ptr, bool)>
-                               Finish,
-                           std::atomic<size_t> *FreshCounter);
+  /// The one resolve behind every entry point, under \p Key (already
+  /// derived from \p Request). Handles Refresh and Bypass, classifies the
+  /// request as hit, join, or miss under one cache_resolve span, and
+  /// counts it in SessionStats. A hit fires \p Finish on this thread.
+  /// \p Inline (blocking callers) waits out a join on the entry's future
+  /// and runs a miss here; otherwise a join registers a continuation the
+  /// winner drains and a miss is submitted to the pool — no pool thread
+  /// ever blocks on a join. \p Finish may be null (future-only callers);
+  /// \p FreshCounter, when non-null, is incremented iff the job runs a
+  /// fresh compile itself — the race-free accounting behind compile()'s
+  /// ComputedHere and compileModel's FreshCompiles.
+  CompileJob dispatch(const CompileRequest &Request, std::string Key,
+                      JobCallback Finish, std::atomic<size_t> *FreshCounter,
+                      bool Inline);
+
+  /// The one miss body: peer probe (Default policy only), else codegen
+  /// seeded from the transfer index; then the transfer-index update,
+  /// publish into \p Sink (fulfill or fail), the compile observer (fresh
+  /// cache-backed compiles only), \p Finish, and the cold histogram.
+  /// Never throws: a failure is published to the job's future. Every span
+  /// it opens — compile, parented to \p Parent, and its children — is
+  /// closed when it returns.
+  void runMiss(const CompileRequest &Request, const std::string &Key,
+               MissSink &Sink, const JobCallback &Finish,
+               std::atomic<size_t> *FreshCounter,
+               const obs::SpanContext &Parent, double T0);
 
   /// Marks one async job finished: decrements InFlight and, when it was
   /// the last one, wakes quiesce() — exact notification, no polling.
@@ -225,9 +251,6 @@ private:
     std::lock_guard<std::mutex> Lock(HooksMu);
     return Observer;
   }
-  std::vector<CompileJob>
-  compileAllAsyncCounted(std::vector<CompileRequest> Requests,
-                         std::atomic<size_t> *FreshCounter);
 
 public:
   explicit CompilerSession(SessionConfig Config = {});
@@ -262,21 +285,15 @@ public:
   /// (graceful-shutdown order: stop intake, then quiesce, then persist).
   void quiesce();
 
-  /// Continuation-engine counters; see SessionStats.
+  /// Resolve counters; see SessionStats.
   SessionStats sessionStats() const {
     SessionStats S;
-    S.ParkedJoins = ParkedJoinsCount.load();
     S.ContinuationJoins = ContinuationJoinsCount.load();
     S.InlineReadyHits = InlineReadyHitsCount.load();
     S.FreshDispatches = FreshDispatchesCount.load();
     S.TransferSeeds = TransferSeedsCount.load();
     return S;
   }
-
-  /// Async joins that parked a pool worker — 0 under the continuation
-  /// engine, by construction. Exposed (and wired into the server `stats`
-  /// reply) so regressions are an assertion away.
-  uint64_t parkedJoins() const { return ParkedJoinsCount.load(); }
 
   /// Submit-to-resolve latency distributions, split by resolution kind;
   /// the server's `metrics` message serves these as the
@@ -321,11 +338,13 @@ public:
   //===--------------------------------------------------------------------===//
 
   /// Compiles one request, honoring its cache policy and tuning budget.
-  /// \p ComputedHere, when non-null, reports whether this call ran a
-  /// fresh compile (true) or was served by the cache — a ready entry or
-  /// a single-flight join of a concurrent compile (false). Race-free,
-  /// unlike probing the cache before compiling; the server's "cached"
-  /// response flag and compiled-layer accounting ride on it.
+  /// A miss compiles on the calling thread; a join of another caller's
+  /// in-flight compile waits for it. \p ComputedHere, when non-null,
+  /// reports whether this call ran a fresh compile (true) or was served
+  /// by the cache — a ready entry or a single-flight join of a concurrent
+  /// compile (false). Race-free, unlike probing the cache before
+  /// compiling; the server's "cached" response flag and compiled-layer
+  /// accounting ride on it.
   KernelReport compile(const CompileRequest &Request,
                        bool *ComputedHere = nullptr);
 
@@ -333,18 +352,6 @@ public:
   /// ready or in-flight cache entry is joined without a pool round-trip.
   /// CompileJob::get() rethrows any exception the backend raised.
   CompileJob compileAsync(CompileRequest Request);
-
-  /// Completion callback for compileAsyncThen: exactly one of \p Report
-  /// and \p Error is non-null/non-empty; \p Computed mirrors compile()'s
-  /// ComputedHere (true only when the job ran the compile itself).
-  /// Invoked on whichever thread resolves the job: the *submitting*
-  /// thread (ready cache hits fire before compileAsyncThen returns), the
-  /// winner's completing thread (single-flight joins, drained as
-  /// continuations), or a pool worker (fresh compiles). Never invoked
-  /// while the session holds an internal lock. Keep it short and never
-  /// call back into blocking session APIs from inside it.
-  using JobCallback = std::function<void(
-      const KernelReport *Report, std::exception_ptr Error, bool Computed)>;
 
   /// compileAsync plus a completion hook: \p OnDone fires exactly once
   /// when the job resolves, including for cache hits and single-flight

@@ -174,13 +174,9 @@ KernelCache::resolveThen(const std::string &Key, Waiter OnDone,
     *FutOut = E.Fut;
   if (isReady(E.Fut))
     return ResolveKind::Ready;
-  if (OnDone) {
-    // In-flight entries always carry a waiter list (allocated above); the
-    // defensive branch covers a hand-seeded entry only.
-    if (!E.Waiters)
-      E.Waiters = std::make_shared<std::vector<Waiter>>();
+  // Only resolveThen creates in-flight entries, always with a waiter list.
+  if (OnDone)
     E.Waiters->push_back(std::move(OnDone));
-  }
   return ResolveKind::Joined;
 }
 
@@ -195,9 +191,10 @@ void KernelCache::fulfill(const std::string &Key, ComputeTicket &Ticket,
     // Capacity is enforced only once the winner is ready: the new entry
     // sits at the LRU front, so eviction hits the coldest ready keys.
     // Re-account it first — readiness grew it by the intrinsic name. The
-    // waiter list is the entry's identity: insert()/clear() may have
-    // displaced the slot mid-compile, in which case the usurper's
-    // accounting (and waiter list) are its own and stay untouched.
+    // waiter list is the entry's identity: erase()/clear() may have
+    // dropped the slot mid-compile and a new winner taken it, in which
+    // case its accounting (and waiter list) are its own and stay
+    // untouched.
     std::lock_guard<std::mutex> Lock(Mu);
     auto It = Entries.find(Key);
     if (It != Entries.end() && It->second.Waiters == Ticket.Waiters) {
@@ -219,8 +216,8 @@ void KernelCache::fail(const std::string &Key, ComputeTicket &Ticket,
   {
     // Evict before publishing the error so the key is immediately
     // retryable — an unfulfilled or failed promise must never poison the
-    // slot. Identity-checked like fulfill(): if insert() replaced the
-    // entry mid-compile, the usurper survives our failure. Swapping the
+    // slot. Identity-checked like fulfill(): if a new winner took the
+    // slot mid-compile, its entry survives our failure. Swapping the
     // waiter list under the same lock means no joiner can slip in after
     // the erase (post-erase resolvers become fresh winners instead).
     std::lock_guard<std::mutex> Lock(Mu);
@@ -234,33 +231,6 @@ void KernelCache::fail(const std::string &Key, ComputeTicket &Ticket,
     W(nullptr, Error);
   Ticket.Promise.reset();
   Ticket.Waiters.reset();
-}
-
-KernelReport KernelCache::getOrCompute(const std::string &Key,
-                                       const Compiler &Compile,
-                                       bool *ComputedHere) {
-  std::shared_future<KernelReport> Fut;
-  ComputeTicket Ticket;
-  ResolveKind Kind = resolveThen(Key, /*OnDone=*/nullptr, &Fut, &Ticket);
-  if (ComputedHere)
-    *ComputedHere = Kind == ResolveKind::MustCompute;
-  // Ready hits return immediately; joiners park this caller-owned thread
-  // on the winner's future (the non-blocking alternative is resolveThen).
-  if (Kind != ResolveKind::MustCompute)
-    return Fut.get();
-  // The library itself aborts rather than throws, but user-registered
-  // backends (and std::bad_alloc) can still unwind through here. fail()
-  // evicts the entry so the key can be retried and propagates the error
-  // to every waiter; without it the unfulfilled promise would poison the
-  // key forever (every later lookup getting broken_promise).
-  try {
-    KernelReport Report = Compile();
-    fulfill(Key, Ticket, Report);
-    return Report;
-  } catch (...) {
-    fail(Key, Ticket, std::current_exception());
-    throw;
-  }
 }
 
 std::optional<KernelReport>
@@ -277,27 +247,6 @@ KernelCache::lookup(const std::string &Key) const {
   if (!isReady(Fut))
     return std::nullopt;
   return Fut.get();
-}
-
-std::optional<std::shared_future<KernelReport>>
-KernelCache::peek(const std::string &Key) const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Entries.find(Key);
-  if (It == Entries.end() || expiredLocked(It->second))
-    return std::nullopt;
-  touchLocked(It->second);
-  // Joining an entry (ready or in flight) is a served request, same as a
-  // getOrCompute hit — async fast-path joins must show up in the stats.
-  Hits.fetch_add(1);
-  return It->second.Fut;
-}
-
-void KernelCache::insert(const std::string &Key, const KernelReport &Report) {
-  std::shared_future<KernelReport> Fut = readyFuture(Report);
-  std::lock_guard<std::mutex> Lock(Mu);
-  eraseLocked(Key);
-  insertLocked(Key, std::move(Fut));
-  enforceCapacityLocked();
 }
 
 void KernelCache::erase(const std::string &Key) {

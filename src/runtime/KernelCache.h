@@ -12,17 +12,16 @@
 /// backend's salt, so isomorphic layers with renamed variables hit the same
 /// entry while different machines never collide.
 ///
-/// Lookups are single-flight: when two threads ask for the same missing key
-/// concurrently, one compiles and the other waits on the same future — a
-/// model with repeated shapes never tunes a shape twice.
-///
-/// Joins come in two flavors. The blocking one (getOrCompute) parks the
-/// calling thread on the winner's future — fine for caller-owned threads.
-/// The continuation one (resolveThen) registers a Waiter callback on the
-/// in-flight entry instead; the winner drains every registered waiter when
-/// it completes, on the success and failure paths alike. A join therefore
-/// never has to occupy a thread, which is what lets a session pool keep
-/// tuning while thousands of tickets fan into the same few compiles.
+/// Lookups are single-flight: resolveThen() makes exactly one concurrent
+/// caller per missing key the winner, which compiles and publishes through
+/// fulfill() or fail(); everyone else joins the same entry — a model with
+/// repeated shapes never tunes a shape twice. A joiner either registers a
+/// Waiter callback on the in-flight entry, which the winner drains when it
+/// completes (success and failure alike), or waits on the entry's future
+/// itself. A callback join never occupies a thread, which is what lets a
+/// session pool keep tuning while thousands of tickets fan into the same
+/// few compiles; only a caller-owned thread (CompilerSession's blocking
+/// compile) waits on the future.
 ///
 /// The cache is bounded (optionally) by an LRU entry cap and/or an LRU
 /// byte cap over the resident-byte accounting, expires (optionally) by
@@ -65,8 +64,6 @@ struct KernelReport {
 
 class KernelCache {
 public:
-  using Compiler = std::function<KernelReport()>;
-
   /// Continuation registered on an in-flight entry. Fired exactly once by
   /// the winner when its compile resolves: (&Report, nullptr) on success,
   /// (nullptr, Error) on failure. Runs on the winner's completing thread
@@ -85,9 +82,10 @@ public:
   /// Winner-side handle handed out by resolveThen() on MustCompute. The
   /// holder must resolve it exactly once via fulfill() or fail(); both
   /// drain every waiter that joined while the compile ran. The embedded
-  /// waiter list doubles as the entry's identity: if insert()/clear()
-  /// displaced the slot mid-compile, completion still drains the original
-  /// joiners but leaves the usurping entry's accounting alone.
+  /// waiter list doubles as the entry's identity: if erase()/clear()
+  /// dropped the slot mid-compile and a new winner took it, completion
+  /// still drains the original joiners but leaves the new entry's
+  /// accounting alone.
   class ComputeTicket {
     friend class KernelCache;
     std::shared_ptr<std::promise<KernelReport>> Promise;
@@ -104,14 +102,6 @@ public:
   /// In-flight entries are never evicted by either cap.
   explicit KernelCache(size_t MaxEntries = 0, size_t MaxBytes = 0)
       : MaxEntries(MaxEntries), MaxBytes(MaxBytes) {}
-
-  /// Returns the cached report for \p Key, compiling it with \p Compile on
-  /// a miss. Concurrent misses on one key run \p Compile exactly once; the
-  /// losers block on the winner's future. \p ComputedHere, when non-null,
-  /// reports whether *this* call ran the compile (false for ready hits
-  /// and single-flight joiners) — the race-free "was it cached" signal.
-  KernelReport getOrCompute(const std::string &Key, const Compiler &Compile,
-                            bool *ComputedHere = nullptr);
 
   /// Non-blocking single-flight resolve. Exactly one concurrent caller per
   /// missing key gets MustCompute (plus a ComputeTicket it must resolve via
@@ -144,18 +134,6 @@ public:
   /// Non-computing probe; std::nullopt when absent or still compiling.
   std::optional<KernelReport> lookup(const std::string &Key) const;
 
-  /// The entry's future when present — ready or still in flight. Lets
-  /// async callers join an in-flight compile without blocking a thread;
-  /// counts as a cache hit in stats(), like a getOrCompute hit.
-  std::optional<std::shared_future<KernelReport>>
-  peek(const std::string &Key) const;
-
-  /// Inserts a ready report, replacing any existing entry — including an
-  /// in-flight one, so production code prefers getOrCompute/load (which
-  /// never displace a compile in progress); this is a seeding hook for
-  /// tests and tooling.
-  void insert(const std::string &Key, const KernelReport &Report);
-
   /// Drops \p Key if present (no-op otherwise).
   void erase(const std::string &Key);
 
@@ -187,8 +165,9 @@ public:
 
   /// Age-based expiry: a ready entry older than \p Seconds (measured from
   /// the moment its report became ready, or from load() for persisted
-  /// entries) reads as absent — lookup/peek/contains say no, getOrCompute
-  /// drops it and recompiles, save() skips it. In-flight entries never
+  /// entries) reads as absent — lookup/contains say no, resolveThen
+  /// drops it and makes the caller the winner of a fresh compile, save()
+  /// skips it. In-flight entries never
   /// expire (their winner is still computing). \p Seconds <= 0 disables
   /// expiry; \p Clock defaults to the process steady clock.
   void setTTL(double Seconds, ClockFn Clock = {});
@@ -351,8 +330,8 @@ private:
 
   mutable std::mutex Mu;
   std::unordered_map<std::string, Entry> Entries;
-  /// Front = most recently used. Mutated by const probes (lookup/peek
-  /// refresh recency), hence mutable.
+  /// Front = most recently used. Mutated by const probes (lookup
+  /// refreshes recency), hence mutable.
   mutable std::list<std::string> Lru;
   size_t MaxEntries = 0;
   size_t MaxBytes = 0;
@@ -361,7 +340,7 @@ private:
   /// Sum of every entry's AccountedBytes — the O(1) signal the byte cap
   /// is enforced against (bytesUsed()/stats() keep their exact walk).
   size_t BytesResident = 0;
-  mutable std::atomic<uint64_t> Hits{0}; ///< peek() is a const hit path.
+  std::atomic<uint64_t> Hits{0};
   std::atomic<uint64_t> Misses{0};
   std::atomic<uint64_t> Evictions{0};
 };

@@ -689,6 +689,21 @@ int CompileServer::effectiveBudget(const std::string &ClientName,
   return Effective;
 }
 
+void CompileServer::accountCompile(Connection &Conn, uint64_t Ticket,
+                                   double Seconds, CachePolicy Policy,
+                                   const KernelReport *Report,
+                                   bool Computed) {
+  // Dirty-flag for the persist thread — only compiles that actually
+  // inserted into the cache count (Bypass computes but writes nothing).
+  if (Computed && Policy != CachePolicy::Bypass)
+    CompilesSinceSave.fetch_add(1);
+  logSlowCompile(Config.SlowCompileMillis, Seconds, Conn.ClientName, Ticket,
+                 !Report ? "error" : (Computed ? "cold" : "warm"), Report);
+  recordServed(Conn, Seconds, /*Layers=*/1,
+               /*FromCache=*/(Report && !Computed) ? 1 : 0,
+               /*FreshKernels=*/Computed ? 1 : 0, /*IsCompile=*/true);
+}
+
 void CompileServer::recordServed(Connection &Conn, double Seconds,
                                  uint64_t Layers, uint64_t FromCache,
                                  uint64_t FreshKernels, bool IsCompile) {
@@ -775,22 +790,14 @@ Json CompileServer::handleCompile(Connection &Conn, const Json &Request) {
   double T0 = steadyNowSeconds();
   bool Computed = false;
   KernelReport Report = Session->compile(*Compile, &Computed);
-  double Seconds = steadyNowSeconds() - T0;
-  logSlowCompile(Config.SlowCompileMillis, Seconds, Conn.ClientName,
-                 /*Ticket=*/0, Computed ? "cold" : "warm", &Report);
-  bool Cached = !Computed;
-  // Dirty-flag for the persist thread — only compiles that actually
-  // inserted into the cache count (Bypass computes but writes nothing).
-  if (Computed && Compile->Options.Policy != CachePolicy::Bypass)
-    CompilesSinceSave.fetch_add(1);
-  recordServed(Conn, Seconds, /*Layers=*/1, /*FromCache=*/Cached ? 1 : 0,
-               /*FreshKernels=*/Computed ? 1 : 0, /*IsCompile=*/true);
+  accountCompile(Conn, /*Ticket=*/0, steadyNowSeconds() - T0,
+                 Compile->Options.Policy, &Report, Computed);
 
   Json J = Json::object();
   J.set("type", "result");
   if (const Json *Id = Request.get("id"))
     J.set("id", *Id);
-  J.set("cached", Cached);
+  J.set("cached", !Computed);
   J.set("report", toJson(Report));
   return J;
 }
@@ -871,15 +878,8 @@ void CompileServer::finishTicket(Connection &Conn, uint64_t Ticket,
   // The work happened whether or not anyone still wants the answer, so
   // the accounting is unconditional; only delivery is gated on the
   // ticket's fate.
-  if (Computed && Policy != CachePolicy::Bypass)
-    CompilesSinceSave.fetch_add(1);
-  double WallSeconds = steadyNowSeconds() - SubmitSeconds;
-  logSlowCompile(Config.SlowCompileMillis, WallSeconds, Conn.ClientName,
-                 Ticket,
-                 !Report ? "error" : (Computed ? "cold" : "warm"), Report);
-  recordServed(Conn, WallSeconds, /*Layers=*/1,
-               /*FromCache=*/(Report && !Computed) ? 1 : 0,
-               /*FreshKernels=*/Computed ? 1 : 0, /*IsCompile=*/true);
+  accountCompile(Conn, Ticket, steadyNowSeconds() - SubmitSeconds, Policy,
+                 Report, Computed);
 
   bool Deliver = false;
   {
@@ -1160,9 +1160,7 @@ Json CompileServer::handleStats(const Json &Request) {
   J.set("errors", Snapshot.Errors);
   J.set("tuner_invocations", tunerInvocations());
   J.set("inflight_jobs", Session->inFlightJobs());
-  // Continuation-engine counters: parked_joins must read 0 — a nonzero
-  // value means some session path went back to blocking a pool worker on
-  // a join, the regression the engine exists to prevent.
+  // Resolve counters, blocking and streaming requests alike.
   SessionStats SS = Session->sessionStats();
   // Tuner economics (docs/TUNING.md). The process-wide counters sit next
   // to the session's transfer_seeds so one stats probe answers "is the
@@ -1178,7 +1176,6 @@ Json CompileServer::handleStats(const Json &Request) {
   Tuner.set("refit_active", machineOverlayActive());
   J.set("tuner", std::move(Tuner));
   Json SessionJson = Json::object();
-  SessionJson.set("parked_joins", SS.ParkedJoins);
   SessionJson.set("continuation_joins", SS.ContinuationJoins);
   SessionJson.set("inline_ready_hits", SS.InlineReadyHits);
   SessionJson.set("fresh_dispatches", SS.FreshDispatches);

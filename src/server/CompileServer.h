@@ -330,6 +330,13 @@ private:
   ClientStats &clientSlotLocked(const std::string &ClientName);
 
   Json errorResponse(const Json &Request, const std::string &Message);
+  /// The accounting every single-kernel compile gets, blocking (\p Ticket
+  /// 0) or streaming: the persist thread's dirty flag, the slow-compile
+  /// digest, and the client's served-request stats. A null \p Report is a
+  /// failed streaming job.
+  void accountCompile(Connection &Conn, uint64_t Ticket, double Seconds,
+                      CachePolicy Policy, const KernelReport *Report,
+                      bool Computed);
   void recordServed(Connection &Conn, double Seconds, uint64_t Layers,
                     uint64_t FromCache, uint64_t FreshKernels,
                     bool IsCompile);

@@ -6,7 +6,8 @@
 // concurrent snapshot hammer); span parent linkage on one thread and
 // across threads — including through the session's resolveThen
 // continuation path, where a join registered on thread A resumes on the
-// winner's pool thread and must still parent to A's submit-side span.
+// winner's pool thread and must still parent to A's submit-side span;
+// and recorder teardown while another thread is mid-span on it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -337,6 +338,50 @@ TEST(Span, ClearActiveRecorderOnlyYanksItsOwn) {
   EXPECT_EQ(activeRecorder(), &B);
   clearActiveRecorder(&B);
   EXPECT_EQ(activeRecorder(), nullptr);
+}
+
+TEST(Span, RecorderTeardownWaitsForSpansOpenOnIt) {
+  // Two servers in one process: the second install replaces the first
+  // server's recorder while one of its threads is mid-span on it. The
+  // first recorder's destruction must wait for that span, not free the
+  // memory the span closes into.
+  auto First = std::make_unique<TraceRecorder>();
+  setActiveRecorder(First.get());
+  std::promise<void> Opened, Release;
+  SpanContext FirstCtx;
+  std::thread Worker([&] {
+    Span Late("late");
+    FirstCtx = Late.context();
+    Opened.set_value();
+    Release.get_future().wait();
+  });
+  Opened.get_future().wait();
+
+  TraceRecorder Second;
+  setActiveRecorder(&Second);
+  {
+    // A context from the replaced recorder parents nothing on the new
+    // one: the span is a root, and the old recorder is never touched.
+    Span Child("child", FirstCtx);
+  }
+  std::atomic<bool> Destroyed{false};
+  std::thread Teardown([&] {
+    First.reset();
+    Destroyed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(Destroyed.load());
+  Release.set_value();
+  Worker.join();
+  Teardown.join();
+  EXPECT_TRUE(Destroyed.load());
+  clearActiveRecorder(&Second);
+
+  std::vector<TraceEvent> Events = Second.snapshot();
+  const TraceEvent *Child = findByName(Events, "child");
+  ASSERT_TRUE(Child);
+  EXPECT_EQ(Child->ParentId, 0u);
+  EXPECT_EQ(findByName(Events, "late"), nullptr);
 }
 
 //===----------------------------------------------------------------------===//

@@ -1,9 +1,11 @@
 //===- tests/test_runtime.cpp - CompilerSession / KernelCache tests --------===//
 
+#include "CacheTestUtil.h"
 #include "TestUtil.h"
 #include "core/Isomorphism.h"
 #include "graph/Executor.h"
 #include "models/ModelZoo.h"
+#include "obs/Trace.h"
 #include "runtime/CompileRequest.h"
 #include "runtime/CompilerSession.h"
 #include "runtime/KernelCache.h"
@@ -117,8 +119,8 @@ TEST(KernelCache, HitSkipsTheCompiler) {
     R.Seconds = 1.5;
     return R;
   };
-  KernelReport First = Cache.getOrCompute("k", Compile);
-  KernelReport Again = Cache.getOrCompute("k", Compile);
+  KernelReport First = resolveOrCompute(Cache, "k", Compile);
+  KernelReport Again = resolveOrCompute(Cache, "k", Compile);
   EXPECT_EQ(Compiles, 1);
   EXPECT_EQ(First.Seconds, Again.Seconds);
   EXPECT_EQ(Cache.stats().Hits, 1u);
@@ -135,7 +137,7 @@ TEST(KernelCache, ConcurrentMissesCompileOnce) {
   std::vector<std::thread> Threads;
   for (int T = 0; T < 8; ++T)
     Threads.emplace_back([&] {
-      Cache.getOrCompute("shared", [&] {
+      resolveOrCompute(Cache, "shared", [&] {
         Compiles.fetch_add(1);
         // Widen the race window so losers really do wait on the future.
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -148,6 +150,30 @@ TEST(KernelCache, ConcurrentMissesCompileOnce) {
     T.join();
   EXPECT_EQ(Compiles.load(), 1);
   EXPECT_EQ(Cache.size(), 1u);
+}
+
+TEST(KernelCache, FailedComputeLeavesTheKeyRetryable) {
+  KernelCache Cache;
+  EXPECT_THROW(resolveOrCompute(Cache, "k",
+                                []() -> KernelReport {
+                                  throw std::runtime_error("compile failed");
+                                }),
+               std::runtime_error);
+  // fail() evicted the entry: the key is absent, not poisoned, and the
+  // next caller becomes a fresh winner.
+  EXPECT_FALSE(Cache.contains("k"));
+  bool Computed = false;
+  KernelReport Retry = resolveOrCompute(
+      Cache, "k",
+      [] {
+        KernelReport R;
+        R.Seconds = 3.0;
+        return R;
+      },
+      &Computed);
+  EXPECT_TRUE(Computed);
+  EXPECT_EQ(Retry.Seconds, 3.0);
+  EXPECT_EQ(Cache.stats().Misses, 2u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -517,7 +543,6 @@ TEST(CompileAsync, SixtyFourContinuationsOnTwoThreadsNeverPark) {
   EXPECT_EQ(Succeeded.load(), 64);
   EXPECT_EQ(ComputedCount.load(), 1);
   EXPECT_EQ(Backend->Compiles.load(), 1);
-  EXPECT_EQ(Session.parkedJoins(), 0u);
   SessionStats Stats = Session.sessionStats();
   EXPECT_EQ(Stats.FreshDispatches, 1u);
   EXPECT_EQ(Stats.ContinuationJoins + Stats.InlineReadyHits, 63u);
@@ -556,13 +581,132 @@ TEST(CompileAsync, FailureDrainsEveryRegisteredWaiter) {
   EXPECT_EQ(Fired.load(), 16);
   EXPECT_EQ(Errored.load(), 16);
   EXPECT_EQ(Backend->Compiles.load(), 1);
-  EXPECT_EQ(Session.parkedJoins(), 0u);
 
   // The failure evicted the entry, not poisoned it: a retry compiles
   // fresh and succeeds (ThrowFirstN only fails the first).
   EXPECT_EQ(Session.compile({Workload::conv2d(L), Backend}).Seconds, 0.25);
   EXPECT_EQ(Backend->Compiles.load(), 2);
   EXPECT_EQ(Session.cache().size(), 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Blocking compile: the same resolve and miss body as the async paths
+//===----------------------------------------------------------------------===//
+
+TEST(BlockingCompile, JoinOfAnInFlightCompileIsTimedAsAJoin) {
+  SessionConfig C;
+  C.Threads = 2;
+  CompilerSession Session(C);
+  auto Backend = std::make_shared<ProbeBackend>("blockingjoin");
+  std::promise<void> Gate;
+  Backend->Gate = Gate.get_future().share();
+  ConvLayer L{"c", 8, 8, 8, 8, 1, 1, 1, 0, 0, false};
+
+  // The async submission plants the gated winner synchronously, so the
+  // blocking compile below can only join it.
+  CompileJob Winner = Session.compileAsync({Workload::conv2d(L), Backend});
+  CompilerSession::LatencySnapshots Before = Session.latencySnapshots();
+  bool Computed = true;
+  KernelReport Joined;
+  std::thread Blocking([&] {
+    Joined = Session.compile({Workload::conv2d(L), Backend}, &Computed);
+  });
+  // Open the gate only once the blocking call has joined (bounded, so a
+  // join that is never counted fails the assertions instead of hanging).
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (Session.sessionStats().ContinuationJoins == 0 &&
+         std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::yield();
+  Gate.set_value();
+  Blocking.join();
+  Session.quiesce();
+
+  EXPECT_FALSE(Computed);
+  EXPECT_EQ(Joined.Seconds, 0.25);
+  EXPECT_EQ(Backend->Compiles.load(), 1);
+  EXPECT_EQ(Session.sessionStats().ContinuationJoins, 1u);
+  CompilerSession::LatencySnapshots After = Session.latencySnapshots();
+  EXPECT_EQ(After.Join.Count - Before.Join.Count, 1u);
+  EXPECT_EQ(After.Warm.Count, Before.Warm.Count);
+}
+
+TEST(BlockingCompile, HitAndMissResolveUnderCacheResolveSpans) {
+  obs::TraceRecorder Rec(256 * 1024);
+  obs::setActiveRecorder(&Rec);
+  {
+    CompilerSession Session(sequentialConfig());
+    auto Backend = std::make_shared<ProbeBackend>("blockingspans");
+    ConvLayer L{"c", 8, 8, 8, 8, 1, 1, 1, 0, 0, false};
+    Session.compile({Workload::conv2d(L), Backend}); // Miss.
+    Session.compile({Workload::conv2d(L), Backend}); // Hit.
+  }
+  obs::clearActiveRecorder(&Rec);
+
+  std::vector<obs::TraceEvent> Events = Rec.snapshot();
+  const obs::TraceEvent *MissResolve = nullptr, *HitResolve = nullptr;
+  const obs::TraceEvent *Compile = nullptr, *Codegen = nullptr;
+  for (const obs::TraceEvent &Ev : Events) {
+    std::string Name = Ev.Name;
+    if (Name == "cache_resolve" && std::strstr(Ev.Args, "outcome=miss"))
+      MissResolve = &Ev;
+    if (Name == "cache_resolve" && std::strstr(Ev.Args, "outcome=hit"))
+      HitResolve = &Ev;
+    if (Name == "compile")
+      Compile = &Ev;
+    if (Name == "codegen")
+      Codegen = &Ev;
+  }
+  ASSERT_TRUE(MissResolve && HitResolve && Compile && Codegen);
+  EXPECT_EQ(Compile->ParentId, MissResolve->SpanId);
+  EXPECT_EQ(Codegen->ParentId, Compile->SpanId);
+  // The resolve decision closes before the miss body opens, and the miss
+  // body ran inline on the calling thread.
+  EXPECT_GE(Compile->StartMicros,
+            MissResolve->StartMicros + MissResolve->DurationMicros);
+  EXPECT_EQ(Compile->ThreadTag, MissResolve->ThreadTag);
+}
+
+TEST(BlockingCompile, BypassMatchesAsyncBypass) {
+  CompilerSession Session(sequentialConfig());
+  ConvLayer L{"c", 64, 28, 28, 128, 3, 3, 1, 1, 1, false};
+  CompileOptions Bypass;
+  Bypass.Policy = CachePolicy::Bypass;
+
+  uint64_t Cold0 = Session.latencySnapshots().Cold.Count;
+  bool Computed = false;
+  KernelReport Blocking =
+      Session.compile({Workload::conv2d(L), "x86", Bypass}, &Computed);
+  uint64_t Cold1 = Session.latencySnapshots().Cold.Count;
+  KernelReport Async =
+      Session.compileAsync({Workload::conv2d(L), "x86", Bypass}).get();
+  Session.quiesce(); // The cold sample is taken after the report publishes.
+  uint64_t Cold2 = Session.latencySnapshots().Cold.Count;
+
+  EXPECT_TRUE(Computed);
+  EXPECT_EQ(Cold1 - Cold0, 1u);
+  EXPECT_EQ(Cold2 - Cold1, 1u);
+  EXPECT_EQ(0, std::memcmp(&Blocking.Seconds, &Async.Seconds, sizeof(double)));
+  EXPECT_EQ(Blocking.Tensorized, Async.Tensorized);
+  EXPECT_EQ(Blocking.BestCandidateIndex, Async.BestCandidateIndex);
+  EXPECT_EQ(Blocking.CandidatesTried, Async.CandidatesTried);
+  EXPECT_EQ(Blocking.IntrinsicName, Async.IntrinsicName);
+  EXPECT_EQ(Session.cache().size(), 0u);
+}
+
+TEST(BlockingCompile, SessionStatsCountBlockingResolves) {
+  CompilerSession Session(sequentialConfig());
+  auto Backend = std::make_shared<ProbeBackend>("blockingstats");
+  ConvLayer L{"c", 8, 8, 8, 8, 1, 1, 1, 0, 0, false};
+  CompileOptions Bypass;
+  Bypass.Policy = CachePolicy::Bypass;
+  Session.compile({Workload::conv2d(L), Backend});         // Miss.
+  Session.compile({Workload::conv2d(L), Backend});         // Hit.
+  Session.compile({Workload::conv2d(L), Backend, Bypass}); // Fresh.
+  SessionStats Stats = Session.sessionStats();
+  EXPECT_EQ(Stats.FreshDispatches, 2u);
+  EXPECT_EQ(Stats.InlineReadyHits, 1u);
+  EXPECT_EQ(Stats.ContinuationJoins, 0u);
+  EXPECT_EQ(Backend->Compiles.load(), 2);
 }
 
 TEST(CompileAsync, BatchSubmissionMatchesBlockingReports) {
@@ -626,9 +770,9 @@ KernelReport reportOf(double Seconds) {
 
 TEST(KernelCacheLru, EvictsLeastRecentlyUsedAtCapacity) {
   KernelCache Cache(2);
-  Cache.insert("a", reportOf(1));
-  Cache.insert("b", reportOf(2));
-  Cache.insert("c", reportOf(3));
+  seedReady(Cache, "a", reportOf(1));
+  seedReady(Cache, "b", reportOf(2));
+  seedReady(Cache, "c", reportOf(3));
   EXPECT_EQ(Cache.size(), 2u);
   EXPECT_FALSE(Cache.contains("a"));
   EXPECT_TRUE(Cache.contains("b"));
@@ -638,10 +782,10 @@ TEST(KernelCacheLru, EvictsLeastRecentlyUsedAtCapacity) {
 
 TEST(KernelCacheLru, LookupRefreshesRecency) {
   KernelCache Cache(2);
-  Cache.insert("a", reportOf(1));
-  Cache.insert("b", reportOf(2));
+  seedReady(Cache, "a", reportOf(1));
+  seedReady(Cache, "b", reportOf(2));
   ASSERT_TRUE(Cache.lookup("a").has_value()); // "a" is now the hot entry.
-  Cache.insert("c", reportOf(3));
+  seedReady(Cache, "c", reportOf(3));
   EXPECT_TRUE(Cache.contains("a"));
   EXPECT_FALSE(Cache.contains("b"));
   EXPECT_TRUE(Cache.contains("c"));
@@ -650,7 +794,7 @@ TEST(KernelCacheLru, LookupRefreshesRecency) {
 TEST(KernelCacheLru, SetCapacityShrinksImmediately) {
   KernelCache Cache; // Unbounded.
   for (int I = 0; I < 8; ++I)
-    Cache.insert("k" + std::to_string(I), reportOf(I));
+    seedReady(Cache, "k" + std::to_string(I), reportOf(I));
   EXPECT_EQ(Cache.size(), 8u);
   Cache.setCapacity(3);
   EXPECT_EQ(Cache.size(), 3u);
@@ -708,8 +852,8 @@ TEST(KernelCacheBytes, PerEntrySizesSumToTotal) {
   KernelCache Cache;
   KernelReport R = reportOf(1);
   R.IntrinsicName = "vnni.vpdpbusd";
-  Cache.insert("short-key", R);
-  Cache.insert(std::string(200, 'k'), reportOf(2));
+  seedReady(Cache, "short-key", R);
+  seedReady(Cache, std::string(200, 'k'), reportOf(2));
 
   std::vector<KernelCache::EntrySize> Sizes = Cache.entrySizes();
   ASSERT_EQ(Sizes.size(), 2u);
@@ -732,10 +876,10 @@ TEST(KernelCacheBytes, PerEntrySizesSumToTotal) {
 
 TEST(KernelCacheBytes, EvictionAndEraseShrinkTheAccounting) {
   KernelCache Cache(2);
-  Cache.insert("a", reportOf(1));
+  seedReady(Cache, "a", reportOf(1));
   size_t OneEntry = Cache.bytesUsed();
-  Cache.insert("b", reportOf(2));
-  Cache.insert("c", reportOf(3)); // Evicts "a".
+  seedReady(Cache, "b", reportOf(2));
+  seedReady(Cache, "c", reportOf(3)); // Evicts "a".
   EXPECT_EQ(Cache.stats().Entries, 2u);
   Cache.erase("b");
   Cache.erase("c");
@@ -764,9 +908,9 @@ TEST(KernelCacheBytes, RealModelCompileAccountsItsKernels) {
 
 TEST(KernelCacheByteCap, EvictsColdestFirstUntilUnderTheCap) {
   KernelCache Cache;
-  Cache.insert("aa", reportOf(1));
-  Cache.insert("bb", reportOf(2));
-  Cache.insert("cc", reportOf(3));
+  seedReady(Cache, "aa", reportOf(1));
+  seedReady(Cache, "bb", reportOf(2));
+  seedReady(Cache, "cc", reportOf(3));
   size_t PerEntry = Cache.bytesUsed() / 3;
   ASSERT_GT(PerEntry, 0u);
 
@@ -790,8 +934,8 @@ TEST(KernelCacheByteCap, EvictsColdestFirstUntilUnderTheCap) {
 
 TEST(KernelCacheByteCap, InsertEnforcesTheCap) {
   KernelCache Cache(0, 1); // 1-byte cap: nothing ready survives an insert.
-  Cache.insert("k1", reportOf(1));
-  Cache.insert("k2", reportOf(2));
+  seedReady(Cache, "k1", reportOf(1));
+  seedReady(Cache, "k2", reportOf(2));
   // Every insert lands at the LRU front and is immediately over budget;
   // the cache never grows beyond the newest entry's transient residence.
   EXPECT_LE(Cache.size(), 1u);
@@ -802,7 +946,7 @@ TEST(KernelCacheByteCap, InFlightEntriesAreNeverEvicted) {
   KernelCache Cache;
   std::atomic<bool> Release{false};
   std::thread Winner([&] {
-    Cache.getOrCompute("inflight", [&] {
+    resolveOrCompute(Cache, "inflight", [&] {
       while (!Release.load())
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       return reportOf(9);
@@ -811,7 +955,7 @@ TEST(KernelCacheByteCap, InFlightEntriesAreNeverEvicted) {
   // Wait until the in-flight entry exists, then squeeze the cache hard.
   while (!Cache.contains("inflight"))
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  Cache.insert("ready", reportOf(1));
+  seedReady(Cache, "ready", reportOf(1));
   Cache.setByteCapacity(1);
   // The ready entry is evictable; the in-flight one must survive.
   EXPECT_TRUE(Cache.contains("inflight"));
@@ -853,7 +997,7 @@ TEST(KernelCacheTtl, ExpiredEntryReadsAsAbsentAndRecompiles) {
     ++Compiles;
     return reportOf(Compiles);
   };
-  Cache.getOrCompute("k", Compile);
+  resolveOrCompute(Cache, "k", Compile);
   EXPECT_EQ(Compiles, 1);
 
   // Within the TTL: every probe still hits. Age runs from readiness, not
@@ -861,21 +1005,22 @@ TEST(KernelCacheTtl, ExpiredEntryReadsAsAbsentAndRecompiles) {
   Now += 9.0;
   EXPECT_TRUE(Cache.contains("k"));
   EXPECT_TRUE(Cache.lookup("k").has_value());
-  Cache.getOrCompute("k", Compile);
+  resolveOrCompute(Cache, "k", Compile);
   EXPECT_EQ(Compiles, 1);
 
   // 11 s after readiness: expired on every read path.
   Now += 2.0;
   EXPECT_FALSE(Cache.contains("k"));
   EXPECT_FALSE(Cache.lookup("k").has_value());
-  EXPECT_FALSE(Cache.peek("k").has_value());
-  KernelReport Fresh = Cache.getOrCompute("k", Compile);
+  bool Computed = false;
+  KernelReport Fresh = resolveOrCompute(Cache, "k", Compile, &Computed);
+  EXPECT_TRUE(Computed); // The expired entry made this caller the winner.
   EXPECT_EQ(Compiles, 2);
   EXPECT_EQ(Fresh.Seconds, 2.0);
 
   // The recompile restarted the entry's clock.
   Now += 9.0;
-  Cache.getOrCompute("k", Compile);
+  resolveOrCompute(Cache, "k", Compile);
   EXPECT_EQ(Compiles, 2);
 }
 
@@ -883,9 +1028,9 @@ TEST(KernelCacheTtl, SaveSkipsExpiredAndPurgeReleasesThem) {
   KernelCache Cache;
   double Now = 0.0;
   Cache.setTTL(5.0, [&Now] { return Now; });
-  Cache.insert("old", reportOf(1));
+  seedReady(Cache, "old", reportOf(1));
   Now += 3.0;
-  Cache.insert("young", reportOf(2));
+  seedReady(Cache, "young", reportOf(2));
   Now += 3.0; // "old" is 6 s past readiness (expired), "young" 3 s.
 
   std::stringstream Stream;
@@ -912,7 +1057,7 @@ TEST(KernelCacheTtl, InFlightEntriesNeverExpire) {
   std::shared_future<void> GateOpen = Gate.get_future().share();
   std::atomic<int> Compiles{0};
   std::thread Winner([&] {
-    Cache.getOrCompute("k", [&] {
+    resolveOrCompute(Cache, "k", [&] {
       Compiles.fetch_add(1);
       GateOpen.wait();
       return reportOf(1);
@@ -921,11 +1066,11 @@ TEST(KernelCacheTtl, InFlightEntriesNeverExpire) {
   while (!Cache.contains("k"))
     std::this_thread::yield();
   Now = 100.0; // Far past the TTL while the compile is still in flight.
-  EXPECT_TRUE(Cache.peek("k").has_value());
+  EXPECT_TRUE(Cache.contains("k"));
   Gate.set_value();
   Winner.join();
   // Readiness stamped at Now=100: the entry is fresh from completion.
-  Cache.getOrCompute("k", [&] {
+  resolveOrCompute(Cache, "k", [&] {
     Compiles.fetch_add(1);
     return reportOf(2);
   });
@@ -969,8 +1114,8 @@ TEST(CachePersistence, StreamRoundTripIsExact) {
   R.BestCandidateIndex = 7;
   R.CandidatesTried = 42;
   R.IntrinsicName = "vnni.vpdpbusd";
-  A.insert("some|key with spaces", R);
-  A.insert("other|key", reportOf(2.5e-6));
+  seedReady(A, "some|key with spaces", R);
+  seedReady(A, "other|key", reportOf(2.5e-6));
 
   std::stringstream Stream;
   EXPECT_EQ(A.save(Stream, "fp"), 2u);
@@ -990,7 +1135,7 @@ TEST(CachePersistence, StreamRoundTripIsExact) {
 
 TEST(CachePersistence, FingerprintMismatchRejectedCleanly) {
   KernelCache A;
-  A.insert("k", reportOf(1));
+  seedReady(A, "k", reportOf(1));
   std::stringstream Stream;
   A.save(Stream, "machine-A");
   KernelCache B;
@@ -1011,8 +1156,8 @@ TEST(CachePersistence, CorruptedFileRejectedCleanly) {
   {
     // Truncated mid-entry: all-or-nothing, zero entries leak in.
     KernelCache A;
-    A.insert("key-one", reportOf(1));
-    A.insert("key-two", reportOf(2));
+    seedReady(A, "key-one", reportOf(1));
+    seedReady(A, "key-two", reportOf(2));
     std::stringstream Stream;
     A.save(Stream, "fp");
     std::string Text = Stream.str();
@@ -1032,9 +1177,9 @@ TEST(CachePersistence, MissingFileReported) {
 
 TEST(CachePersistence, PersistenceWritesSurvivorsOnly) {
   KernelCache Cache(2); // LRU cap 2: the first insert is evicted.
-  Cache.insert("a", reportOf(1));
-  Cache.insert("b", reportOf(2));
-  Cache.insert("c", reportOf(3));
+  seedReady(Cache, "a", reportOf(1));
+  seedReady(Cache, "b", reportOf(2));
+  seedReady(Cache, "c", reportOf(3));
   std::stringstream Stream;
   EXPECT_EQ(Cache.save(Stream, "fp"), 2u);
 }

@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CacheTestUtil.h"
 #include "fabric/Endpoint.h"
 #include "fabric/Handshake.h"
 #include "fabric/Hmac.h"
@@ -799,7 +800,7 @@ struct GatedCompiles {
       std::string Key =
           CompileRequest(Workload::conv2d(Layers[I]), Backend).cacheKey();
       Winners.emplace_back([&Session, this, Key, SecondsBase, I] {
-        Session.cache().getOrCompute(Key, [this, SecondsBase, I] {
+        testutil::resolveOrCompute(Session.cache(), Key, [&] {
           GateOpen.wait();
           KernelReport R;
           R.Seconds = SecondsBase + static_cast<double>(I);
@@ -808,7 +809,7 @@ struct GatedCompiles {
         });
       });
       // The winner must be in flight before anyone submits against the
-      // key (the entry appears when getOrCompute inserts it).
+      // key (the entry appears when the winner's resolve plants it).
       while (!Session.cache().contains(Key))
         std::this_thread::yield();
     }
@@ -1108,7 +1109,8 @@ TEST_F(ServerTest, ClientVanishingWithPendingTicketsLeavesServerHealthy) {
 /// (Under the parked-join engine each join pinned a worker on the
 /// winner's future, so 32 joins on a 2-thread pool starved every later
 /// compile.) The free layers, submitted last, complete first — and the
-/// server's own counters prove nothing parked.
+/// server's own counters show every gated ticket joined as a
+/// continuation.
 TEST_F(ServerTest, FanInBeyondPoolSizeRidesContinuations) {
   ServerConfig Config;
   Config.SessionCfg.Threads = 2; // Far fewer workers than pending joins.
@@ -1148,13 +1150,11 @@ TEST_F(ServerTest, FanInBeyondPoolSizeRidesContinuations) {
   EXPECT_EQ(Client->pendingTickets(), 32u);
 
   // The session's own accounting: every gated ticket is a continuation
-  // join, and the parked-join counter — the regression detector for the
-  // old engine — reads zero.
+  // join.
   std::optional<Json> Stats = Client->stats(false, &Err);
   ASSERT_TRUE(Stats.has_value()) << Err;
   const Json *SessionJson = Stats->get("session");
   ASSERT_NE(SessionJson, nullptr);
-  EXPECT_EQ(SessionJson->integer("parked_joins"), 0);
   EXPECT_GE(SessionJson->integer("continuation_joins"), 32);
 
   Gate.set_value();
@@ -1221,7 +1221,6 @@ TEST_F(ServerTest, TicketBudgetHoldsEightThousandJoinsOnOneConnection) {
   ASSERT_TRUE(Stats.has_value()) << Err;
   const Json *SessionJson = Stats->get("session");
   ASSERT_NE(SessionJson, nullptr);
-  EXPECT_EQ(SessionJson->integer("parked_joins"), 0);
   EXPECT_GE(SessionJson->integer("continuation_joins"),
             static_cast<int64_t>(MaxPendingTicketsPerConnection));
 }
@@ -1703,11 +1702,6 @@ TEST_F(ServerTest, TwoDaemonsOneColdTuneClusterwideViaPeerFetch) {
   EXPECT_TRUE(OnA->Cached);
   EXPECT_EQ(OnA->Report.Seconds, OnB->Report.Seconds);
   EXPECT_EQ(tunerInvocations() - TunesLate, 0u);
-
-  // Peer exchange rides the continuation engine like everything else:
-  // no thread ever parked on either daemon.
-  EXPECT_EQ(Server->session().parkedJoins(), 0u);
-  EXPECT_EQ(B.session().parkedJoins(), 0u);
   B.stop();
 }
 
@@ -1869,7 +1863,6 @@ TEST_F(ServerTest, EndpointListFailoverResolvesOriginalFutures) {
   EXPECT_TRUE(Warm->Cached);
   EXPECT_EQ(Warm->Report.Seconds, R->Report.Seconds);
   Client.close();
-  EXPECT_EQ(Server->session().parkedJoins(), 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -2102,7 +2095,6 @@ TEST_F(ServerTest, StatsHammerDeliveredNeverReadsAheadOfIssued) {
             static_cast<int64_t>(Streamers * LayersPerClient));
   EXPECT_EQ(Streaming->integer("notifications_delivered"),
             Streaming->integer("tickets_issued"));
-  EXPECT_EQ(Server->session().parkedJoins(), 0u);
 }
 
 } // namespace
