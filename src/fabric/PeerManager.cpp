@@ -171,20 +171,8 @@ bool PeerManager::ensureExchangeableLocked(Peer &P) {
 
 std::vector<KernelCache::ExportedEntry>
 PeerManager::importEntries(const Json &Reply) {
-  std::vector<KernelCache::ExportedEntry> Decoded;
-  const Json *Entries = Reply.get("entries");
-  if (!Entries || !Entries->isArray())
-    return Decoded;
-  for (const Json &E : Entries->items()) {
-    KernelCache::ExportedEntry X;
-    X.Key = E.str("key");
-    const Json *ReportJson = E.get("report");
-    std::string Err;
-    if (X.Key.empty() || !ReportJson ||
-        !kernelReportFromJson(*ReportJson, X.Report, Err))
-      continue; // Malformed entries are skipped, not fatal.
-    Decoded.push_back(std::move(X));
-  }
+  std::vector<KernelCache::ExportedEntry> Decoded =
+      cacheEntriesFromJson(Reply.get("entries"));
   if (Config.Cache && !Decoded.empty())
     FetchedCount.fetch_add(Config.Cache->importReady(Decoded));
   return Decoded;
@@ -253,17 +241,10 @@ void PeerManager::pusherLoop() {
       continue;
     }
 
-    Json Entries = Json::array();
-    for (const KernelCache::ExportedEntry &E : Batch) {
-      Json EJ = Json::object();
-      EJ.set("key", E.Key);
-      EJ.set("report", toJson(E.Report));
-      Entries.push(std::move(EJ));
-    }
     Json Push = Json::object();
     Push.set("type", "push_cache");
     Push.set("fingerprint", Config.Fingerprint);
-    Push.set("entries", std::move(Entries));
+    Push.set("entries", cacheEntriesToJson(Batch));
 
     for (auto &PPtr : Links) {
       Peer &P = *PPtr;

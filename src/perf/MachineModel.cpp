@@ -2,18 +2,57 @@
 
 #include "perf/MachineModel.h"
 
-#include <cstdio>
+#include "support/StringUtils.h"
 
 using namespace unit;
 
 namespace {
-/// Appends one double in exact hex-float form.
-void appendParam(std::string &Out, double V) {
-  char Buf[40];
-  std::snprintf(Buf, sizeof(Buf), ",%a", V);
-  Out += Buf;
+/// The name, then every params() entry as an exact hex-float.
+template <typename MachineT> std::string fingerprint(const MachineT &M) {
+  std::string Out = M.Name;
+  for (const MachineParam<MachineT> &P : MachineT::params())
+    Out += formatStr(",%a", P.get(M));
+  return Out;
 }
 } // namespace
+
+const std::vector<MachineParam<CpuMachine>> &CpuMachine::params() {
+  static const std::vector<MachineParam<CpuMachine>> Params = {
+      {"freq_ghz", &CpuMachine::FreqGHz},
+      {"cores", &CpuMachine::Cores},
+      {"load_ports_per_cycle", &CpuMachine::LoadPortsPerCycle},
+      {"fork_join_cycles", &CpuMachine::ForkJoinCycles},
+      {"per_chunk_sched_cycles", &CpuMachine::PerChunkSchedCycles},
+      {"icache_body_budget_bytes", &CpuMachine::ICacheBodyBudgetBytes},
+      {"residue_branch_penalty", &CpuMachine::ResidueBranchPenalty},
+      {"dram_bytes_per_cycle", &CpuMachine::DramBytesPerCycle},
+      {"l2_bytes_per_core", &CpuMachine::L2BytesPerCore},
+      {"simd_vector_bytes", &CpuMachine::SimdVectorBytes},
+      {"simd_pipes", &CpuMachine::SimdPipes},
+      {"widening_factor_no_dot", &CpuMachine::WideningFactorNoDot},
+  };
+  return Params;
+}
+
+const std::vector<MachineParam<GpuMachine>> &GpuMachine::params() {
+  static const std::vector<MachineParam<GpuMachine>> Params = {
+      {"freq_ghz", &GpuMachine::FreqGHz},
+      {"sms", &GpuMachine::SMs},
+      {"wmma_per_cycle_per_sm", &GpuMachine::WmmaPerCyclePerSM},
+      {"warp_issue_cycles", &GpuMachine::WarpIssueCycles},
+      {"fma_per_cycle_per_sm", &GpuMachine::FmaPerCyclePerSM},
+      {"kernel_launch_micros", &GpuMachine::KernelLaunchMicros},
+      {"sync_base_cycles", &GpuMachine::SyncBaseCycles},
+      {"sync_per_segment_cycles", &GpuMachine::SyncPerSegmentCycles},
+      {"regs_per_accum_tile", &GpuMachine::RegsPerAccumTile},
+      {"regs_base", &GpuMachine::RegsBase},
+      {"reg_budget_per_warp", &GpuMachine::RegBudgetPerWarp},
+      {"dram_bytes_per_cycle", &GpuMachine::DramBytesPerCycle},
+      {"warps_for_peak_bandwidth", &GpuMachine::WarpsForPeakBandwidth},
+      {"shared_bytes_per_sm", &GpuMachine::SharedBytesPerSM},
+  };
+  return Params;
+}
 
 CpuMachine CpuMachine::cascadeLake() {
   CpuMachine M;
@@ -54,16 +93,7 @@ CpuMachine CpuMachine::graviton2() {
   return M;
 }
 
-std::string CpuMachine::cacheFingerprint() const {
-  std::string Out = Name;
-  for (double V :
-       {FreqGHz, static_cast<double>(Cores), LoadPortsPerCycle,
-        ForkJoinCycles, PerChunkSchedCycles, ICacheBodyBudgetBytes,
-        ResidueBranchPenalty, DramBytesPerCycle, L2BytesPerCore,
-        SimdVectorBytes, SimdPipes, WideningFactorNoDot})
-    appendParam(Out, V);
-  return Out;
-}
+std::string CpuMachine::cacheFingerprint() const { return fingerprint(*this); }
 
 GpuMachine GpuMachine::v100() {
   GpuMachine M;
@@ -88,14 +118,4 @@ GpuMachine GpuMachine::v100() {
   return M;
 }
 
-std::string GpuMachine::cacheFingerprint() const {
-  std::string Out = Name;
-  for (double V :
-       {FreqGHz, static_cast<double>(SMs), WmmaPerCyclePerSM,
-        WarpIssueCycles, FmaPerCyclePerSM, KernelLaunchMicros,
-        SyncBaseCycles, SyncPerSegmentCycles, RegsPerAccumTile, RegsBase,
-        RegBudgetPerWarp, DramBytesPerCycle, WarpsForPeakBandwidth,
-        SharedBytesPerSM})
-    appendParam(Out, V);
-  return Out;
-}
+std::string GpuMachine::cacheFingerprint() const { return fingerprint(*this); }

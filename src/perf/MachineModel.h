@@ -22,8 +22,35 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace unit {
+
+/// One machine-model parameter: the snake_case key spec files and
+/// machine overlays spell it with, and the field it names. Integer
+/// quantities (core / SM counts) are Count fields — parsers reject
+/// fractional values for them; everything else is a Real. Each machine's
+/// params() table is the one place its parameters are enumerated:
+/// cacheFingerprint, the spec-file codec (target/SpecFile.h) and, through
+/// that codec, the refit overlay all iterate it.
+template <typename MachineT> struct MachineParam {
+  const char *Key;
+  double MachineT::*Real = nullptr;
+  int MachineT::*Count = nullptr;
+
+  MachineParam(const char *K, double MachineT::*Field) : Key(K), Real(Field) {}
+  MachineParam(const char *K, int MachineT::*Field) : Key(K), Count(Field) {}
+
+  double get(const MachineT &M) const {
+    return Count ? static_cast<double>(M.*Count) : M.*Real;
+  }
+  void set(MachineT &M, double V) const {
+    if (Count)
+      M.*Count = static_cast<int>(V);
+    else
+      M.*Real = V;
+  }
+};
 
 /// A multicore CPU with SIMD/tensorized execution units.
 struct CpuMachine {
@@ -51,6 +78,9 @@ struct CpuMachine {
   /// AWS m6g.8xlarge: Graviton2 (Neoverse N1), 32 cores at 2.3 GHz,
   /// 128-bit NEON with the DOT extension.
   static CpuMachine graviton2();
+
+  /// Every parameter except Name, in declaration (and fingerprint) order.
+  static const std::vector<MachineParam<CpuMachine>> &params();
 
   /// Exact serialization of every latency-relevant parameter (name
   /// included). Kernel-cache salts use this so two machines that share a
@@ -84,6 +114,9 @@ struct GpuMachine {
 
   /// AWS p3.2xlarge: Tesla V100-SXM2, 80 SMs at 1.53 GHz.
   static GpuMachine v100();
+
+  /// Every parameter except Name, in declaration (and fingerprint) order.
+  static const std::vector<MachineParam<GpuMachine>> &params();
 
   /// Exact parameter serialization; see CpuMachine::cacheFingerprint.
   std::string cacheFingerprint() const;

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The option block a CompileRequest carries alongside its Workload and
-/// target: tuning budget, cache policy, and batch-scheduling priority.
+/// target: tuning budget, cache policy, and tuner search hints.
 /// Lives in its own dependency-free header so TargetBackend signatures can
 /// thread it down into the tuner without pulling in the request types.
 ///
@@ -32,11 +32,6 @@ struct CompileOptions {
   int MaxCandidates = -1;
 
   CachePolicy Policy = CachePolicy::Default;
-
-  /// Batch-scheduling hint: when several requests are submitted together
-  /// (compileAllAsync / compileModel), higher-priority requests enter the
-  /// pool queue first. Has no effect on a single request.
-  int Priority = 0;
 
   /// Early-exit pruning in the tuner: skip candidates whose admissible
   /// latency lower bound already exceeds the running best. The compiled

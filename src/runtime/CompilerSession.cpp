@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <numeric>
 #include <thread>
 #include <unordered_map>
 
@@ -361,16 +360,10 @@ void CompilerSession::quiesce() {
 
 std::vector<CompileJob>
 CompilerSession::compileAllAsync(std::vector<CompileRequest> Requests) {
-  // Submit higher-priority requests first (stable: ties keep caller
-  // order), but hand the jobs back in the original order.
-  std::vector<size_t> Order(Requests.size());
-  std::iota(Order.begin(), Order.end(), size_t{0});
-  std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
-    return Requests[A].Options.Priority > Requests[B].Options.Priority;
-  });
-  std::vector<CompileJob> Jobs(Requests.size());
-  for (size_t Slot : Order)
-    Jobs[Slot] = compileAsync(std::move(Requests[Slot]));
+  std::vector<CompileJob> Jobs;
+  Jobs.reserve(Requests.size());
+  for (CompileRequest &R : Requests)
+    Jobs.push_back(compileAsync(std::move(R)));
   return Jobs;
 }
 

@@ -11,7 +11,7 @@
 ///
 ///   compile(CompileRequest)       blocking
 ///   compileAsync(CompileRequest)  future-based CompileJob
-///   compileAllAsync(requests)     priority-ordered batch submission
+///   compileAllAsync(requests)     batch submission
 ///   compileModel(model, target)   submit every distinct layer, then join
 ///
 /// Every entry point goes through one resolve (hit, join, or miss, under
@@ -363,8 +363,8 @@ public:
   /// while keeping thousands of tickets in flight over a small pool.
   CompileJob compileAsyncThen(CompileRequest Request, JobCallback OnDone);
 
-  /// Submits a batch, higher CompileOptions::Priority first; the returned
-  /// jobs are in the original request order.
+  /// Submits a batch in request order; the returned jobs are in the same
+  /// order.
   std::vector<CompileJob> compileAllAsync(std::vector<CompileRequest> Requests);
 
   /// Compiles every conv layer of \p M by submitting all distinct shapes

@@ -504,12 +504,13 @@ KernelCache::LoadResult KernelCache::load(std::istream &In,
 
   // All-or-nothing: parse everything before touching the cache. The
   // reservation is capped — Count is untrusted until the entries parse.
-  std::vector<std::pair<std::string, KernelReport>> Parsed;
+  std::vector<ExportedEntry> Parsed;
   Parsed.reserve(std::min<size_t>(Count, 4096));
   for (size_t I = 0; I < Count; ++I) {
     size_t KeyLen = 0, IntrLen = 0;
     int Tensorized = 0;
-    KernelReport R;
+    ExportedEntry E;
+    KernelReport &R = E.Report;
     std::string SecondsTok;
     if (!(In >> Tag >> KeyLen >> IntrLen >> Tensorized >>
           R.BestCandidateIndex >> R.CandidatesTried >> SecondsTok) ||
@@ -520,26 +521,16 @@ KernelCache::LoadResult KernelCache::load(std::istream &In,
     if (End == SecondsTok.c_str() || *End != '\0')
       return Result;
     R.Tensorized = Tensorized != 0;
-    std::string Key;
-    if (!readFramed(In, KeyLen, Key) ||
+    if (!readFramed(In, KeyLen, E.Key) ||
         !readFramed(In, IntrLen, R.IntrinsicName))
       return Result;
-    Parsed.emplace_back(std::move(Key), std::move(R));
+    Parsed.push_back(std::move(E));
   }
 
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    // File order is hottest-first; walking it forward keeps that recency
-    // order in the rebuilt LRU list (each insert lands at the front, so
-    // later == colder... hence iterate coldest-first).
-    for (auto It = Parsed.rbegin(); It != Parsed.rend(); ++It) {
-      if (Entries.count(It->first))
-        continue; // Live (possibly in-flight) entries win over disk.
-      insertLocked(It->first, readyFuture(It->second));
-      ++Result.EntriesLoaded;
-    }
-    enforceCapacityLocked();
-  }
+  // The file is hottest-first and each insert lands at the LRU front, so
+  // merging coldest-first rebuilds the saved recency order.
+  std::reverse(Parsed.begin(), Parsed.end());
+  Result.EntriesLoaded = importReady(Parsed);
   Result.Status = LoadStatus::Loaded;
   return Result;
 }

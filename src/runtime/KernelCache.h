@@ -241,8 +241,8 @@ public:
   /// Merges peer-supplied entries. Keys already present — ready *or* in
   /// flight — keep their local value: a peer's gift never displaces a
   /// live compile (the single-flight winner still owns its entry) or a
-  /// local result. Caps are enforced after the merge, exactly as for
-  /// load(). Returns the number of entries actually inserted.
+  /// local result. Caps are enforced after the merge; load() merges
+  /// through here too. Returns the number of entries actually inserted.
   size_t importReady(const std::vector<ExportedEntry> &NewEntries);
 
   //===--------------------------------------------------------------------===//

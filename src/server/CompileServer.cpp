@@ -789,7 +789,17 @@ Json CompileServer::handleCompile(Connection &Conn, const Json &Request) {
   // account exactly one compiled layer between them.
   double T0 = steadyNowSeconds();
   bool Computed = false;
-  KernelReport Report = Session->compile(*Compile, &Computed);
+  KernelReport Report;
+  try {
+    Report = Session->compile(*Compile, &Computed);
+  } catch (...) {
+    // Accounted like a failed compile_async ticket; serveConnection's
+    // barrier answers the "compile failed: ..." error frame.
+    accountCompile(Conn, /*Ticket=*/0, steadyNowSeconds() - T0,
+                   Compile->Options.Policy, /*Report=*/nullptr,
+                   /*Computed=*/false);
+    throw;
+  }
   accountCompile(Conn, /*Ticket=*/0, steadyNowSeconds() - T0,
                  Compile->Options.Policy, &Report, Computed);
 
@@ -1332,12 +1342,7 @@ Json CompileServer::handleFetchCache(const Json &Request) {
         Session->cache().exportReady(HasKeys ? 0 : Config.MaxPeerExchangeBytes,
                                      HasKeys ? &Keys : nullptr);
     Count = Exported.size();
-    for (const KernelCache::ExportedEntry &E : Exported) {
-      Json EJ = Json::object();
-      EJ.set("key", E.Key);
-      EJ.set("report", toJson(E.Report));
-      Entries.push(std::move(EJ));
-    }
+    Entries = cacheEntriesToJson(Exported);
   }
   PeerEntriesServed.fetch_add(Count);
   Json J = Json::object();
@@ -1353,20 +1358,8 @@ Json CompileServer::handlePushCache(const Json &Request) {
   PeerPushesServed.fetch_add(1);
   size_t Accepted = 0;
   if (Request.str("fingerprint") == peerFingerprint()) {
-    std::vector<KernelCache::ExportedEntry> In;
-    if (const Json *Entries = Request.get("entries"))
-      if (Entries->isArray())
-        for (const Json &E : Entries->items()) {
-          KernelCache::ExportedEntry X;
-          X.Key = E.str("key");
-          const Json *ReportJson = E.get("report");
-          std::string DecodeErr;
-          if (X.Key.empty() || !ReportJson ||
-              !kernelReportFromJson(*ReportJson, X.Report, DecodeErr))
-            continue; // Malformed entries are skipped, not fatal.
-          In.push_back(std::move(X));
-        }
-    Accepted = Session->cache().importReady(In);
+    Accepted = Session->cache().importReady(
+        cacheEntriesFromJson(Request.get("entries")));
     // Imported entries are cache content the persist thread has not
     // saved yet — they must survive a crash like locally tuned ones.
     if (Accepted > 0)

@@ -12,9 +12,8 @@
 /// model one client already compiled is a pure cache hit for the next.
 /// The *session*, not a model, is the unit of deployment.
 ///
-/// Admission control: each compile request carries CompileOptions
-/// (priority orders batch submission inside the session pool), and each
-/// client may be capped to a per-client tuning budget at hello time; the
+/// Admission control: each compile request carries CompileOptions, and
+/// each client may be capped to a per-client tuning budget at hello time; the
 /// server clamps every request's MaxCandidates to the client's cap and
 /// the server-wide cap, whichever is tighter.
 ///

@@ -523,7 +523,6 @@ Json unit::toJson(const CompileOptions &O) {
   Json J = Json::object();
   J.set("max_candidates", O.MaxCandidates);
   J.set("policy", cachePolicyName(O.Policy));
-  J.set("priority", O.Priority);
   return J;
 }
 
@@ -749,6 +748,36 @@ bool unit::kernelReportFromJson(const Json &J, KernelReport &R,
   return true;
 }
 
+Json unit::cacheEntriesToJson(
+    const std::vector<KernelCache::ExportedEntry> &Entries) {
+  Json J = Json::array();
+  for (const KernelCache::ExportedEntry &E : Entries) {
+    Json EJ = Json::object();
+    EJ.set("key", E.Key);
+    EJ.set("report", toJson(E.Report));
+    J.push(std::move(EJ));
+  }
+  return J;
+}
+
+std::vector<KernelCache::ExportedEntry>
+unit::cacheEntriesFromJson(const Json *Entries) {
+  std::vector<KernelCache::ExportedEntry> Out;
+  if (!Entries || !Entries->isArray())
+    return Out;
+  for (const Json &E : Entries->items()) {
+    KernelCache::ExportedEntry X;
+    X.Key = E.str("key");
+    const Json *ReportJson = E.get("report");
+    std::string Err;
+    if (X.Key.empty() || !ReportJson ||
+        !kernelReportFromJson(*ReportJson, X.Report, Err))
+      continue; // Malformed entries are skipped, not fatal.
+    Out.push_back(std::move(X));
+  }
+  return Out;
+}
+
 Json unit::makeResultNotification(uint64_t Ticket, bool Cached,
                                   const KernelReport &R) {
   Json J = Json::object();
@@ -779,7 +808,6 @@ CompileOptions unit::optionsFromJson(const Json *J) {
   if (!J || !J->isObject())
     return O;
   O.MaxCandidates = static_cast<int>(J->integer("max_candidates", -1));
-  O.Priority = static_cast<int>(J->integer("priority", 0));
   if (std::optional<CachePolicy> P = cachePolicyFromName(J->str("policy")))
     O.Policy = *P;
   return O;

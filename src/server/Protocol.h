@@ -224,6 +224,14 @@ bool conv3dLayerFromJson(const Json &J, Conv3dLayer &L, std::string &Err);
 bool modelFromJson(const Json &J, Model &M, std::string &Err);
 bool kernelReportFromJson(const Json &J, KernelReport &R, std::string &Err);
 
+/// The fleet exchange's entry list: the "entries" array of fetch_cache
+/// replies and push_cache requests, [{"key": ..., "report": {...}}, ...].
+/// The decoder takes the member itself (null or non-array = no entries)
+/// and skips malformed entries rather than failing the whole list.
+Json cacheEntriesToJson(const std::vector<KernelCache::ExportedEntry> &Entries);
+std::vector<KernelCache::ExportedEntry>
+cacheEntriesFromJson(const Json *Entries);
+
 /// Options are tolerant: a null / absent \p J yields defaults.
 CompileOptions optionsFromJson(const Json *J);
 

@@ -6,11 +6,10 @@
 
 #include "target/MachineOverlay.h"
 
-#include "server/Protocol.h" // Json — the repo's one JSON implementation.
+#include "target/SpecFile.h"
 #include "target/TargetRegistry.h"
 
 #include <atomic>
-#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -27,128 +26,26 @@ bool fail(std::string *Err, std::string Msg) {
   return false;
 }
 
-/// Replaces \p *Field with \p Block[Key] when present. Every machine
-/// parameter is a finite positive quantity — a zero frequency or
-/// bandwidth would divide-by-zero inside the cost model, so bad values
-/// are rejected here, before any spec is touched.
-bool refitField(const Json &Block, const char *Key, double *Field,
-                std::string *Err) {
-  const Json *V = Block.get(Key);
-  if (!V)
-    return true;
-  if (!V->isNumber())
-    return fail(Err, std::string("overlay field '") + Key +
-                         "' is not a number");
-  double X = V->asNumber();
-  if (!std::isfinite(X) || X <= 0)
-    return fail(Err, std::string("overlay field '") + Key +
-                         "' must be finite and > 0");
-  *Field = X;
-  return true;
-}
-
-/// Integer-valued parameters (core / SM counts) additionally reject
-/// fractional refits: 23.5 cores is a measurement bug, not a machine.
-bool refitCountField(const Json &Block, const char *Key, int *Field,
-                     std::string *Err) {
-  const Json *V = Block.get(Key);
-  if (!V)
-    return true;
-  if (!V->isNumber())
-    return fail(Err, std::string("overlay field '") + Key +
-                         "' is not a number");
-  double X = V->asNumber();
-  if (!std::isfinite(X) || X <= 0 || X != std::floor(X) || X > 1 << 20)
-    return fail(Err, std::string("overlay field '") + Key +
-                         "' must be a positive integer");
-  *Field = static_cast<int>(X);
-  return true;
-}
-
-/// Rejects keys outside \p Known: a typo'd field silently keeping its
-/// factory value would defeat the whole point of a refit.
-bool checkKnownKeys(const Json &Block, const char *BlockName,
-                    const std::vector<std::string> &Known,
-                    std::string *Err) {
-  for (const auto &Member : Block.members()) {
-    bool Found = false;
-    for (const std::string &K : Known)
-      if (Member.first == K) {
-        Found = true;
-        break;
-      }
-    if (!Found)
-      return fail(Err, std::string("unknown ") + BlockName +
-                           " overlay field '" + Member.first + "'");
-  }
-  return true;
-}
-
-// Field names mirror perf/MachineModel.h in declaration (and
-// cacheFingerprint) order.
-bool applyCpuBlock(const Json &Block, CpuMachine &M, std::string *Err) {
-  if (!checkKnownKeys(Block, "cpu",
-                      {"freq_ghz", "cores", "load_ports_per_cycle",
-                       "fork_join_cycles", "per_chunk_sched_cycles",
-                       "icache_body_budget_bytes", "residue_branch_penalty",
-                       "dram_bytes_per_cycle", "l2_bytes_per_core",
-                       "simd_vector_bytes", "simd_pipes",
-                       "widening_factor_no_dot"},
-                      Err))
-    return false;
-  return refitField(Block, "freq_ghz", &M.FreqGHz, Err) &&
-         refitCountField(Block, "cores", &M.Cores, Err) &&
-         refitField(Block, "load_ports_per_cycle", &M.LoadPortsPerCycle,
-                    Err) &&
-         refitField(Block, "fork_join_cycles", &M.ForkJoinCycles, Err) &&
-         refitField(Block, "per_chunk_sched_cycles", &M.PerChunkSchedCycles,
-                    Err) &&
-         refitField(Block, "icache_body_budget_bytes",
-                    &M.ICacheBodyBudgetBytes, Err) &&
-         refitField(Block, "residue_branch_penalty", &M.ResidueBranchPenalty,
-                    Err) &&
-         refitField(Block, "dram_bytes_per_cycle", &M.DramBytesPerCycle,
-                    Err) &&
-         refitField(Block, "l2_bytes_per_core", &M.L2BytesPerCore, Err) &&
-         refitField(Block, "simd_vector_bytes", &M.SimdVectorBytes, Err) &&
-         refitField(Block, "simd_pipes", &M.SimdPipes, Err) &&
-         refitField(Block, "widening_factor_no_dot", &M.WideningFactorNoDot,
-                    Err);
-}
-
-bool applyGpuBlock(const Json &Block, GpuMachine &M, std::string *Err) {
-  if (!checkKnownKeys(Block, "gpu",
-                      {"freq_ghz", "sms", "wmma_per_cycle_per_sm",
-                       "warp_issue_cycles", "fma_per_cycle_per_sm",
-                       "kernel_launch_micros", "sync_base_cycles",
-                       "sync_per_segment_cycles", "regs_per_accum_tile",
-                       "regs_base", "reg_budget_per_warp",
-                       "dram_bytes_per_cycle", "warps_for_peak_bandwidth",
-                       "shared_bytes_per_sm"},
-                      Err))
-    return false;
-  return refitField(Block, "freq_ghz", &M.FreqGHz, Err) &&
-         refitCountField(Block, "sms", &M.SMs, Err) &&
-         refitField(Block, "wmma_per_cycle_per_sm", &M.WmmaPerCyclePerSM,
-                    Err) &&
-         refitField(Block, "warp_issue_cycles", &M.WarpIssueCycles, Err) &&
-         refitField(Block, "fma_per_cycle_per_sm", &M.FmaPerCyclePerSM,
-                    Err) &&
-         refitField(Block, "kernel_launch_micros", &M.KernelLaunchMicros,
-                    Err) &&
-         refitField(Block, "sync_base_cycles", &M.SyncBaseCycles, Err) &&
-         refitField(Block, "sync_per_segment_cycles",
-                    &M.SyncPerSegmentCycles, Err) &&
-         refitField(Block, "regs_per_accum_tile", &M.RegsPerAccumTile,
-                    Err) &&
-         refitField(Block, "regs_base", &M.RegsBase, Err) &&
-         refitField(Block, "reg_budget_per_warp", &M.RegBudgetPerWarp,
-                    Err) &&
-         refitField(Block, "dram_bytes_per_cycle", &M.DramBytesPerCycle,
-                    Err) &&
-         refitField(Block, "warps_for_peak_bandwidth",
-                    &M.WarpsForPeakBandwidth, Err) &&
-         refitField(Block, "shared_bytes_per_sm", &M.SharedBytesPerSM, Err);
+/// Lays the members of \p Refit over \p M's spec-file block and
+/// re-parses the merged block with the spec codec, so a refit is held to
+/// exactly the rules a spec file is (target/SpecFile.h
+/// parseMachineBlock); absent fields keep their registered values.
+template <typename MachineT>
+bool refitMachine(const Json &Refit, const std::string &Target, MachineT &M,
+                  std::string *Err) {
+  if (!Refit.isObject())
+    return fail(Err, "overlay target '" + Target +
+                         "': machine block is not an object");
+  // The name is identity, not a measurement.
+  if (Refit.get("name"))
+    return fail(Err, "overlay target '" + Target +
+                         "': field 'name' is not refittable");
+  Json Merged = machineBlockJson(M);
+  for (const auto &Member : Refit.members())
+    if (Refit.get(Member.first) == &Member.second) // First duplicate wins.
+      Merged.set(Member.first, Member.second);
+  return parseMachineBlock(Merged, M, Err) ||
+         fail(Err, "overlay target '" + Target + "': " + (Err ? *Err : ""));
 }
 
 } // namespace
@@ -196,17 +93,13 @@ bool applyMachineOverlayText(const std::string &Text, std::string *Err) {
       if (Spec.Engine != TargetSpec::EngineKind::CpuDot)
         return fail(Err, "overlay target '" + Target +
                              "' is a GPU target but carries a 'cpu' block");
-      if (!Cpu->isObject())
-        return fail(Err, "overlay 'cpu' block is not an object");
-      if (!applyCpuBlock(*Cpu, Spec.Cpu, Err))
+      if (!refitMachine(*Cpu, Target, Spec.Cpu, Err))
         return false;
     } else {
       if (Spec.Engine != TargetSpec::EngineKind::GpuImplicitGemm)
         return fail(Err, "overlay target '" + Target +
                              "' is a CPU target but carries a 'gpu' block");
-      if (!Gpu->isObject())
-        return fail(Err, "overlay 'gpu' block is not an object");
-      if (!applyGpuBlock(*Gpu, Spec.Gpu, Err))
+      if (!refitMachine(*Gpu, Target, Spec.Gpu, Err))
         return false;
     }
     Updated.push_back(std::move(Spec));

@@ -23,10 +23,15 @@
 ///       { "target": "nvgpu",
 ///         "gpu": { "dram_bytes_per_cycle": 580 } } ] }
 ///
-/// Field names mirror perf/MachineModel.h in snake_case; absent fields
-/// keep their registered values. The block ("cpu" / "gpu") must match the
-/// target's engine. Application is all-or-nothing: every entry is
-/// validated against the registry before any spec is replaced.
+/// Field names are the keys of the machine's params() table
+/// (perf/MachineModel.h) — the same keys a spec file's machine block
+/// uses; absent fields keep their registered values and "name" is not
+/// refittable. Each block is laid over the target's current spec-file
+/// block and validated by the spec parser (parseMachineBlock), so a
+/// refit value obeys exactly the rules a spec file's does. The block
+/// ("cpu" / "gpu") must match the target's engine. Application is
+/// all-or-nothing: every entry is validated against the registry before
+/// any spec is replaced.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,8 +46,9 @@ namespace unit {
 /// target with its refit machine model. Returns false (registry
 /// untouched) with \p Err filled on malformed JSON, an unknown version,
 /// an unregistered or non-spec-registered target, an engine/block
-/// mismatch, or a non-finite / non-positive refit value. On success sets
-/// the process-wide machineOverlayActive() flag.
+/// mismatch, a "name" member, or a refit value the spec parser rejects
+/// (unknown key, non-number, non-finite / non-positive, fractional
+/// count). On success sets the process-wide machineOverlayActive() flag.
 bool applyMachineOverlayText(const std::string &Text, std::string *Err);
 
 /// Reads \p Path and applies it via applyMachineOverlayText.

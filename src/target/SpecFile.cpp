@@ -116,7 +116,7 @@ bool readString(const Json &Obj, const std::string &Path, const char *Key,
 
 /// Rejects members of \p Obj outside \p Known — a typo'd machine
 /// parameter silently keeping a default would defeat the all-or-nothing
-/// contract (same stance as MachineOverlay).
+/// contract. Machine overlays reach this check through parseMachineBlock.
 bool checkKnownKeys(const Json &Obj, const std::string &Path,
                     const std::vector<std::string> &Known, std::string *Err) {
   for (const auto &Member : Obj.members()) {
@@ -134,128 +134,41 @@ bool checkKnownKeys(const Json &Obj, const std::string &Path,
 }
 
 //===----------------------------------------------------------------------===//
-// Machine blocks — snake_case keys mirroring perf/MachineModel.h in
-// declaration (and cacheFingerprint) order, plus "name". Every field is
-// required: a defaulted machine constant would silently misprice every
-// kernel compiled under the spec.
+// Machine blocks — "name" plus one member per MachineT::params() entry
+// (perf/MachineModel.h), in table order. Every field is required: a
+// defaulted machine constant would silently misprice every kernel
+// compiled under the spec.
 //===----------------------------------------------------------------------===//
 
-bool parseCpuBlock(const Json &Block, CpuMachine &M, std::string *Err) {
-  if (!checkKnownKeys(Block, "cpu",
-                      {"name", "freq_ghz", "cores", "load_ports_per_cycle",
-                       "fork_join_cycles", "per_chunk_sched_cycles",
-                       "icache_body_budget_bytes", "residue_branch_penalty",
-                       "dram_bytes_per_cycle", "l2_bytes_per_core",
-                       "simd_vector_bytes", "simd_pipes",
-                       "widening_factor_no_dot"},
-                      Err))
+template <typename MachineT>
+bool parseBlock(const Json &Block, const char *Path, MachineT &M,
+                std::string *Err) {
+  std::vector<std::string> Known = {"name"};
+  for (const MachineParam<MachineT> &P : MachineT::params())
+    Known.push_back(P.Key);
+  if (!checkKnownKeys(Block, Path, Known, Err) ||
+      !readString(Block, Path, "name", M.Name, Err))
     return false;
-  int64_t Cores = 0;
-  if (!readString(Block, "cpu", "name", M.Name, Err) ||
-      !readPositiveDouble(Block, "cpu", "freq_ghz", M.FreqGHz, Err) ||
-      !readPositiveInt(Block, "cpu", "cores", 1 << 20, Cores, Err) ||
-      !readPositiveDouble(Block, "cpu", "load_ports_per_cycle",
-                          M.LoadPortsPerCycle, Err) ||
-      !readPositiveDouble(Block, "cpu", "fork_join_cycles", M.ForkJoinCycles,
-                          Err) ||
-      !readPositiveDouble(Block, "cpu", "per_chunk_sched_cycles",
-                          M.PerChunkSchedCycles, Err) ||
-      !readPositiveDouble(Block, "cpu", "icache_body_budget_bytes",
-                          M.ICacheBodyBudgetBytes, Err) ||
-      !readPositiveDouble(Block, "cpu", "residue_branch_penalty",
-                          M.ResidueBranchPenalty, Err) ||
-      !readPositiveDouble(Block, "cpu", "dram_bytes_per_cycle",
-                          M.DramBytesPerCycle, Err) ||
-      !readPositiveDouble(Block, "cpu", "l2_bytes_per_core", M.L2BytesPerCore,
-                          Err) ||
-      !readPositiveDouble(Block, "cpu", "simd_vector_bytes",
-                          M.SimdVectorBytes, Err) ||
-      !readPositiveDouble(Block, "cpu", "simd_pipes", M.SimdPipes, Err) ||
-      !readPositiveDouble(Block, "cpu", "widening_factor_no_dot",
-                          M.WideningFactorNoDot, Err))
-    return false;
-  M.Cores = static_cast<int>(Cores);
+  for (const MachineParam<MachineT> &P : MachineT::params()) {
+    double V = 0;
+    if (P.Count) {
+      int64_t N = 0;
+      if (!readPositiveInt(Block, Path, P.Key, 1 << 20, N, Err))
+        return false;
+      V = static_cast<double>(N);
+    } else if (!readPositiveDouble(Block, Path, P.Key, V, Err)) {
+      return false;
+    }
+    P.set(M, V);
+  }
   return true;
 }
 
-bool parseGpuBlock(const Json &Block, GpuMachine &M, std::string *Err) {
-  if (!checkKnownKeys(Block, "gpu",
-                      {"name", "freq_ghz", "sms", "wmma_per_cycle_per_sm",
-                       "warp_issue_cycles", "fma_per_cycle_per_sm",
-                       "kernel_launch_micros", "sync_base_cycles",
-                       "sync_per_segment_cycles", "regs_per_accum_tile",
-                       "regs_base", "reg_budget_per_warp",
-                       "dram_bytes_per_cycle", "warps_for_peak_bandwidth",
-                       "shared_bytes_per_sm"},
-                      Err))
-    return false;
-  int64_t SMs = 0;
-  if (!readString(Block, "gpu", "name", M.Name, Err) ||
-      !readPositiveDouble(Block, "gpu", "freq_ghz", M.FreqGHz, Err) ||
-      !readPositiveInt(Block, "gpu", "sms", 1 << 20, SMs, Err) ||
-      !readPositiveDouble(Block, "gpu", "wmma_per_cycle_per_sm",
-                          M.WmmaPerCyclePerSM, Err) ||
-      !readPositiveDouble(Block, "gpu", "warp_issue_cycles",
-                          M.WarpIssueCycles, Err) ||
-      !readPositiveDouble(Block, "gpu", "fma_per_cycle_per_sm",
-                          M.FmaPerCyclePerSM, Err) ||
-      !readPositiveDouble(Block, "gpu", "kernel_launch_micros",
-                          M.KernelLaunchMicros, Err) ||
-      !readPositiveDouble(Block, "gpu", "sync_base_cycles", M.SyncBaseCycles,
-                          Err) ||
-      !readPositiveDouble(Block, "gpu", "sync_per_segment_cycles",
-                          M.SyncPerSegmentCycles, Err) ||
-      !readPositiveDouble(Block, "gpu", "regs_per_accum_tile",
-                          M.RegsPerAccumTile, Err) ||
-      !readPositiveDouble(Block, "gpu", "regs_base", M.RegsBase, Err) ||
-      !readPositiveDouble(Block, "gpu", "reg_budget_per_warp",
-                          M.RegBudgetPerWarp, Err) ||
-      !readPositiveDouble(Block, "gpu", "dram_bytes_per_cycle",
-                          M.DramBytesPerCycle, Err) ||
-      !readPositiveDouble(Block, "gpu", "warps_for_peak_bandwidth",
-                          M.WarpsForPeakBandwidth, Err) ||
-      !readPositiveDouble(Block, "gpu", "shared_bytes_per_sm",
-                          M.SharedBytesPerSM, Err))
-    return false;
-  M.SMs = static_cast<int>(SMs);
-  return true;
-}
-
-Json cpuBlockJson(const CpuMachine &M) {
+template <typename MachineT> Json blockJson(const MachineT &M) {
   Json J = Json::object();
   J.set("name", M.Name);
-  J.set("freq_ghz", M.FreqGHz);
-  J.set("cores", M.Cores);
-  J.set("load_ports_per_cycle", M.LoadPortsPerCycle);
-  J.set("fork_join_cycles", M.ForkJoinCycles);
-  J.set("per_chunk_sched_cycles", M.PerChunkSchedCycles);
-  J.set("icache_body_budget_bytes", M.ICacheBodyBudgetBytes);
-  J.set("residue_branch_penalty", M.ResidueBranchPenalty);
-  J.set("dram_bytes_per_cycle", M.DramBytesPerCycle);
-  J.set("l2_bytes_per_core", M.L2BytesPerCore);
-  J.set("simd_vector_bytes", M.SimdVectorBytes);
-  J.set("simd_pipes", M.SimdPipes);
-  J.set("widening_factor_no_dot", M.WideningFactorNoDot);
-  return J;
-}
-
-Json gpuBlockJson(const GpuMachine &M) {
-  Json J = Json::object();
-  J.set("name", M.Name);
-  J.set("freq_ghz", M.FreqGHz);
-  J.set("sms", M.SMs);
-  J.set("wmma_per_cycle_per_sm", M.WmmaPerCyclePerSM);
-  J.set("warp_issue_cycles", M.WarpIssueCycles);
-  J.set("fma_per_cycle_per_sm", M.FmaPerCyclePerSM);
-  J.set("kernel_launch_micros", M.KernelLaunchMicros);
-  J.set("sync_base_cycles", M.SyncBaseCycles);
-  J.set("sync_per_segment_cycles", M.SyncPerSegmentCycles);
-  J.set("regs_per_accum_tile", M.RegsPerAccumTile);
-  J.set("regs_base", M.RegsBase);
-  J.set("reg_budget_per_warp", M.RegBudgetPerWarp);
-  J.set("dram_bytes_per_cycle", M.DramBytesPerCycle);
-  J.set("warps_for_peak_bandwidth", M.WarpsForPeakBandwidth);
-  J.set("shared_bytes_per_sm", M.SharedBytesPerSM);
+  for (const MachineParam<MachineT> &P : MachineT::params())
+    J.set(P.Key, P.get(M));
   return J;
 }
 
@@ -399,6 +312,16 @@ const char *engineName(TargetSpec::EngineKind Engine) {
 // Public API
 //===----------------------------------------------------------------------===//
 
+Json machineBlockJson(const CpuMachine &M) { return blockJson(M); }
+Json machineBlockJson(const GpuMachine &M) { return blockJson(M); }
+
+bool parseMachineBlock(const Json &Block, CpuMachine &M, std::string *Err) {
+  return parseBlock(Block, "cpu", M, Err);
+}
+bool parseMachineBlock(const Json &Block, GpuMachine &M, std::string *Err) {
+  return parseBlock(Block, "gpu", M, Err);
+}
+
 Json serializeSpec(const TargetSpec &Spec) {
   Json Doc = Json::object();
   Doc.set("version", SpecFileVersion);
@@ -413,10 +336,10 @@ Json serializeSpec(const TargetSpec &Spec) {
   Scheme.set("reduce_multiple", Spec.Scheme.ReduceMultiple);
   Doc.set("scheme", std::move(Scheme));
   if (Spec.Engine == TargetSpec::EngineKind::CpuDot) {
-    Doc.set("cpu", cpuBlockJson(Spec.Cpu));
+    Doc.set("cpu", machineBlockJson(Spec.Cpu));
     Doc.set("conv3d", Spec.SupportsConv3d);
   } else {
-    Doc.set("gpu", gpuBlockJson(Spec.Gpu));
+    Doc.set("gpu", machineBlockJson(Spec.Gpu));
   }
   Json Intrs = Json::array();
   for (const TensorIntrinsicRef &I : Spec.Intrinsics)
@@ -496,7 +419,7 @@ bool parseSpec(const Json &Doc, TargetSpec &Out, std::string *Err) {
     if (!Cpu || !Cpu->isObject())
       return fail(Err, "spec field 'cpu' must be an object (engine is "
                        "\"cpu-dot\")");
-    if (!parseCpuBlock(*Cpu, Spec.Cpu, Err))
+    if (!parseMachineBlock(*Cpu, Spec.Cpu, Err))
       return false;
     const Json *Conv3d = Doc.get("conv3d");
     if (Conv3d && !Conv3d->isBool())
@@ -512,7 +435,7 @@ bool parseSpec(const Json &Doc, TargetSpec &Out, std::string *Err) {
     if (!Gpu || !Gpu->isObject())
       return fail(Err, "spec field 'gpu' must be an object (engine is "
                        "\"gpu-implicit-gemm\")");
-    if (!parseGpuBlock(*Gpu, Spec.Gpu, Err))
+    if (!parseMachineBlock(*Gpu, Spec.Gpu, Err))
       return false;
     Spec.SupportsConv3d = false;
   }

@@ -64,6 +64,17 @@ Json serializeSpec(const TargetSpec &Spec);
 /// unspecified; no global state is touched either way.
 bool parseSpec(const Json &Doc, TargetSpec &Out, std::string *Err);
 
+/// The "cpu" / "gpu" machine block on its own: "name" plus one member per
+/// params() entry (perf/MachineModel.h), in table order. serializeSpec and
+/// parseSpec use exactly these, and MachineOverlay validates a refit by
+/// re-parsing the merged block with them — one set of rules (known keys
+/// only, every field present, finite and > 0, counts integral) for spec
+/// files, wire specs and refits alike.
+Json machineBlockJson(const CpuMachine &M);
+Json machineBlockJson(const GpuMachine &M);
+bool parseMachineBlock(const Json &Block, CpuMachine &M, std::string *Err);
+bool parseMachineBlock(const Json &Block, GpuMachine &M, std::string *Err);
+
 /// Json::parse + parseSpec, with the over-size guard applied to \p Text.
 bool parseSpecText(const std::string &Text, TargetSpec &Out,
                    std::string *Err);

@@ -30,7 +30,7 @@ namespace {
 /// Rewrites every multi-index Load into a flat single-index Load.
 class FlattenMutator : public ExprMutator {
 public:
-  ExprRef mutateLoad(const ExprRef &E, const LoadNode *N) override {
+  ExprRef mutateLoad(const ExprRef &, const LoadNode *N) override {
     std::vector<ExprRef> Indices;
     Indices.reserve(N->Indices.size());
     for (const ExprRef &I : N->Indices)

@@ -33,7 +33,7 @@ public:
   virtual void visitEvaluate(const EvaluateNode *N);
 
   /// Called for every expression embedded in a statement; default no-op.
-  virtual void visitExpr(const ExprRef &E) {}
+  virtual void visitExpr(const ExprRef &) {}
 };
 
 /// Rebuilding statement walk preserving sharing.

@@ -804,6 +804,27 @@ TEST(KernelCacheLru, SetCapacityShrinksImmediately) {
   EXPECT_TRUE(Cache.contains("k5"));
 }
 
+TEST(KernelCacheLru, LoadKeepsTheSavedRecencyOrder) {
+  KernelCache Saved;
+  seedReady(Saved, "a", reportOf(1));
+  seedReady(Saved, "b", reportOf(2));
+  seedReady(Saved, "c", reportOf(3));
+  ASSERT_TRUE(Saved.lookup("a").has_value()); // Recency: a, c, b.
+  std::stringstream File;
+  ASSERT_EQ(Saved.save(File, "fp"), 3u);
+
+  KernelCache Loaded(3);
+  KernelCache::LoadResult R = Loaded.load(File, "fp");
+  ASSERT_EQ(R.Status, KernelCache::LoadStatus::Loaded);
+  EXPECT_EQ(R.EntriesLoaded, 3u);
+  // One new key over the cap evicts the file's coldest entry.
+  seedReady(Loaded, "d", reportOf(4));
+  EXPECT_FALSE(Loaded.contains("b"));
+  EXPECT_TRUE(Loaded.contains("a"));
+  EXPECT_TRUE(Loaded.contains("c"));
+  EXPECT_TRUE(Loaded.contains("d"));
+}
+
 TEST(KernelCacheLru, SessionConfigCapIsApplied) {
   SessionConfig C = sequentialConfig();
   C.CacheCapacity = 1;

@@ -2097,4 +2097,80 @@ TEST_F(ServerTest, StatsHammerDeliveredNeverReadsAheadOfIssued) {
             Streaming->integer("tickets_issued"));
 }
 
+//===----------------------------------------------------------------------===//
+// Failed compiles: blocking and streaming account alike
+//===----------------------------------------------------------------------===//
+
+/// x86 under another id whose compiles throw while Armed — disarmed, it
+/// compiles and advertises like x86, so it stays harmless to any later
+/// test that walks the registry.
+class FailingBackend : public TargetBackend {
+  TargetBackendRef X86 = TargetRegistry::instance().get("x86");
+
+public:
+  mutable std::atomic<bool> Armed{true};
+
+  const std::string &id() const override {
+    static const std::string Id = "failing-probe";
+    return Id;
+  }
+  std::string cacheSalt() const override {
+    return "failing-probe|" + X86->cacheSalt();
+  }
+  const QuantScheme &scheme() const override { return X86->scheme(); }
+  std::vector<TensorIntrinsicRef> intrinsics() const override {
+    return X86->intrinsics();
+  }
+  std::string convKey(const ConvLayer &L) const override {
+    return cacheSalt() + "|conv|" + L.shapeKey();
+  }
+  KernelReport compileConv(const ConvLayer &L, ThreadPool *Pool,
+                           const CompileOptions &O) const override {
+    if (Armed.load())
+      throw std::runtime_error("failing-probe backend failure");
+    return X86->compileConv(L, Pool, O);
+  }
+  KernelReport compileOp(const ComputeOpRef &Op, ThreadPool *Pool,
+                         const CompileOptions &O) const override {
+    if (Armed.load())
+      throw std::runtime_error("failing-probe backend failure");
+    return X86->compileOp(Op, Pool, O);
+  }
+};
+
+TEST_F(ServerTest, FailedBlockingCompileIsAccountedLikeFailedTicket) {
+  auto Backend = std::make_shared<FailingBackend>();
+  TargetRegistry::instance().registerBackend(Backend);
+  startServer();
+  auto Client = makeClient("failer");
+  std::string Err;
+  std::optional<Json> Before = Client->stats(false, &Err);
+  ASSERT_TRUE(Before.has_value()) << Err;
+
+  ConvLayer L = makeResnet18().Convs[3];
+  EXPECT_FALSE(Client->compileConv("failing-probe", L, {}, &Err).has_value());
+  EXPECT_NE(Err.find("compile failed: failing-probe backend failure"),
+            std::string::npos)
+      << Err;
+  std::optional<CompileClient::AsyncHandle> Handle =
+      Client->submitConv("failing-probe", L, {}, &Err);
+  ASSERT_TRUE(Handle.has_value()) << Err;
+  EXPECT_FALSE(Client->wait(*Handle, &Err).has_value());
+  EXPECT_NE(Err.find("compile failed: failing-probe backend failure"),
+            std::string::npos)
+      << Err;
+
+  std::optional<Json> After = Client->stats(false, &Err);
+  ASSERT_TRUE(After.has_value()) << Err;
+  EXPECT_EQ(After->integer("errors") - Before->integer("errors"), 2);
+  const Json *Clients = After->get("clients");
+  ASSERT_NE(Clients, nullptr);
+  int64_t CompileRequests = -1;
+  for (const Json &C : Clients->items())
+    if (C.str("client") == "failer")
+      CompileRequests = C.integer("compile_requests");
+  EXPECT_EQ(CompileRequests, 2);
+  Backend->Armed.store(false);
+}
+
 } // namespace

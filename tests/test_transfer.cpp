@@ -27,6 +27,7 @@
 #include "runtime/Workload.h"
 #include "support/ThreadPool.h"
 #include "target/MachineOverlay.h"
+#include "target/SpecFile.h"
 #include "target/TargetRegistry.h"
 #include "tuner/Tuner.h"
 
@@ -422,4 +423,102 @@ TEST(MachineOverlay, RefitMovesSpecHashAndCacheKeys) {
       << Err;
   EXPECT_EQ(Registry.specFor("x86").hash(), OldHash);
   EXPECT_EQ(Registry.get("x86")->convKey(L), OldKey);
+}
+
+namespace {
+
+/// A one-entry overlay document refitting \p Fields of \p TargetId's
+/// \p Block ("cpu" / "gpu"). Json round-trips doubles bit-exactly, so
+/// restoring a dumped original value restores the spec hash exactly.
+std::string overlayText(const std::string &TargetId, const char *Block,
+                        Json Fields) {
+  Json Entry = Json::object();
+  Entry.set("target", TargetId);
+  Entry.set(Block, std::move(Fields));
+  Json Refit = Json::array();
+  Refit.push(std::move(Entry));
+  Json Doc = Json::object();
+  Doc.set("version", 1);
+  Doc.set("refit", std::move(Refit));
+  return Doc.dump();
+}
+
+Json oneField(const char *Key, Json Value) {
+  Json J = Json::object();
+  J.set(Key, std::move(Value));
+  return J;
+}
+
+/// Every params() entry must reach all three of its uses: the overlay
+/// can refit it, the refit moves the spec hash (the fingerprint reads
+/// it) and restoring it brings the hash back bit-for-bit, and a spec
+/// document without it is rejected (the parser requires it).
+template <typename MachineT>
+void expectEveryParamWired(const std::string &TargetId, const char *Block,
+                           MachineT TargetSpec::*Machine) {
+  TargetRegistry &Registry = TargetRegistry::instance();
+  TargetSpec Before = Registry.specFor(TargetId);
+  std::set<std::string> Keys;
+  for (const MachineParam<MachineT> &P : MachineT::params()) {
+    SCOPED_TRACE(P.Key);
+    EXPECT_TRUE(Keys.insert(P.Key).second) << "duplicate key";
+    std::string Err;
+    double Old = P.get(Before.*Machine);
+    // +1 keeps a count integral and every value positive.
+    ASSERT_TRUE(applyMachineOverlayText(
+        overlayText(TargetId, Block, oneField(P.Key, Old + 1)), &Err))
+        << Err;
+    TargetSpec After = Registry.specFor(TargetId);
+    EXPECT_EQ(P.get(After.*Machine), Old + 1);
+    EXPECT_NE(After.hash(), Before.hash());
+    ASSERT_TRUE(applyMachineOverlayText(
+        overlayText(TargetId, Block, oneField(P.Key, Old)), &Err))
+        << Err;
+    EXPECT_EQ(Registry.specFor(TargetId).hash(), Before.hash());
+
+    Json Doc = serializeSpec(Before);
+    Json Trimmed = Json::object();
+    for (const auto &Member : Doc.get(Block)->members())
+      if (Member.first != P.Key)
+        Trimmed.append(Member.first, Member.second);
+    Doc.set(Block, std::move(Trimmed));
+    TargetSpec Parsed;
+    EXPECT_FALSE(parseSpec(Doc, Parsed, &Err));
+    EXPECT_NE(Err.find(P.Key), std::string::npos) << Err;
+  }
+}
+
+} // namespace
+
+TEST(MachineOverlay, RejectsWhatTheSpecParserRejectsUntouched) {
+  TargetRegistry &Registry = TargetRegistry::instance();
+  std::string OldX86 = Registry.specFor("x86").hash();
+  std::string OldGpu = Registry.specFor("nvgpu").hash();
+  std::string Err;
+  // 23.5 cores is a measurement bug, not a machine.
+  EXPECT_FALSE(applyMachineOverlayText(
+      overlayText("x86", "cpu", oneField("cores", 23.5)), &Err));
+  EXPECT_NE(Err.find("cores"), std::string::npos) << Err;
+  EXPECT_FALSE(applyMachineOverlayText(
+      overlayText("nvgpu", "gpu", oneField("sms", 79.5)), &Err));
+  // The name is identity, not a refittable measurement.
+  EXPECT_FALSE(applyMachineOverlayText(
+      overlayText("x86", "cpu", oneField("name", "renamed")), &Err));
+  EXPECT_NE(Err.find("name"), std::string::npos) << Err;
+  EXPECT_FALSE(applyMachineOverlayText(
+      overlayText("x86", "cpu", oneField("freq_ghz", "fast")), &Err));
+  EXPECT_NE(Err.find("freq_ghz"), std::string::npos) << Err;
+  // A later valid entry does not rescue an invalid earlier one.
+  EXPECT_FALSE(applyMachineOverlayText(
+      "{\"version\":1,\"refit\":["
+      "{\"target\":\"nvgpu\",\"gpu\":{\"regs_base\":-1}},"
+      "{\"target\":\"x86\",\"cpu\":{\"simd_pipes\":4}}]}",
+      &Err));
+  EXPECT_EQ(Registry.specFor("x86").hash(), OldX86);
+  EXPECT_EQ(Registry.specFor("nvgpu").hash(), OldGpu);
+}
+
+TEST(MachineOverlay, EveryTableEntryReachesHashAndSpecParser) {
+  expectEveryParamWired("x86", "cpu", &TargetSpec::Cpu);
+  expectEveryParamWired("nvgpu", "gpu", &TargetSpec::Gpu);
 }

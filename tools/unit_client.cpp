@@ -65,7 +65,6 @@ void usage(const char *Argv0) {
       "                      F on the running server (repeatable; runs\n"
       "                      before any --model compile, so one invocation\n"
       "                      can register a target and compile on it)\n"
-      "  --priority N        batch priority for the compile\n"
       "  --expect-warm       exit 1 unless every layer was a cache hit\n"
       "  --list-targets      print the backends the server can compile for\n"
       "  --stats             print the server's stats message\n"
@@ -198,7 +197,7 @@ int main(int argc, char **argv) {
   std::vector<std::string> ModelNames;
   std::vector<std::string> SpecPaths;
   std::string TraceOutPath;
-  int Budget = 0, Priority = 0;
+  int Budget = 0;
   bool WantStats = false, WantSave = false, WantShutdown = false,
        ExpectWarm = false, WantTargets = false, Async = false,
        WantMetrics = false, WantTrace = false;
@@ -229,8 +228,6 @@ int main(int argc, char **argv) {
       TargetName = NextValue();
     else if (Arg == "--register-spec")
       SpecPaths.push_back(NextValue());
-    else if (Arg == "--priority")
-      Priority = std::atoi(NextValue());
     else if (Arg == "--expect-warm")
       ExpectWarm = true;
     else if (Arg == "--list-targets")
@@ -335,7 +332,6 @@ int main(int argc, char **argv) {
       Models.push_back(std::move(*M));
     }
     CompileOptions Options;
-    Options.Priority = Priority;
 
     size_t TotalLayers = 0, WarmLayers = 0;
     if (Async) {
